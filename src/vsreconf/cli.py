@@ -83,6 +83,8 @@ def _parse_ids(tokens: list[str], what: str) -> frozenset[int]:
 
 
 def _parse_graph_value(tokens: list[str], base: Path) -> Graph:
+    if not tokens:
+        raise InputError("empty graph field")
     if len(tokens) == 1 and not tokens[0].isdigit():
         return Graph.from_text(_read(str(base / tokens[0])))
     try:
@@ -103,9 +105,10 @@ def _parse_keyword_file(path: str) -> dict[str, list[str]]:
         if not line or line.startswith("#"):
             continue
         key, *rest = line.split()
+        key = key.lower()
         if key in fields:
             raise InputError(f"duplicate field {key!r} in {path}")
-        fields[key.lower()] = rest
+        fields[key] = rest
     return fields
 
 
@@ -367,7 +370,10 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     rg = export_reconfig_graph(inst, state_cap=args.state_cap)
     text = rg.to_dot()
     if args.output:
-        Path(args.output).write_text(text)
+        try:
+            Path(args.output).write_text(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text, end="")
     return 0

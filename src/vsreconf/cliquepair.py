@@ -67,6 +67,8 @@ class NotInScope:
 
 Characterization = CutVertexCliques | MatchedCliques | SpecialC5 | NotInScope
 
+_OUT_OF_CLASS = NotInScope("not two overlapping cliques or a five-cycle")
+
 
 def _c5_order(g: Graph) -> tuple[int, ...] | None:
     if g.n != 5 or len(g.edges) != 5 or any(g.degree(v) != 2 for v in g.vertices()):
@@ -124,6 +126,11 @@ def characterize(g: Graph) -> Characterization:
     Deterministic: cut-vertex variant first, then matched cliques (first
     valid complement two-coloring with vertex 0 in the first clique),
     then the five-cycle.
+
+    Every in-scope shape has at least C(floor(n/2), 2) + C(ceil(n/2), 2)
+    edges (two cliques covering the vertices; the five-cycle meets the
+    bound), so sparser graphs are refused after the linear-time
+    connectivity check, before any quadratic work.
     """
     if g.n < 4:
         return NotInScope("fewer than 4 vertices")
@@ -131,6 +138,9 @@ def characterize(g: Graph) -> Characterization:
         return NotInScope("disconnected")
     if g.is_clique(g.vertices()):
         return NotInScope("complete graph")
+    half = g.n // 2
+    if len(g.edges) < half * (half - 1) // 2 + (g.n - half) * (g.n - half - 1) // 2:
+        return _OUT_OF_CLASS
     cuts = g.cut_vertices()
     if len(cuts) == 1:
         (w,) = cuts
@@ -145,7 +155,7 @@ def characterize(g: Graph) -> Characterization:
     order = _c5_order(g)
     if order is not None:
         return SpecialC5(order)
-    return NotInScope("not two overlapping cliques or a five-cycle")
+    return _OUT_OF_CLASS
 
 
 def _require_class(g: Graph) -> Characterization:

@@ -63,6 +63,12 @@ class Graph:
         self.check_vertex(b)
         return b in self._adj[a]
 
+    def neighborhood(self, vs: set[int] | frozenset[int]) -> frozenset[int]:
+        """Vertices outside ``vs`` adjacent to some member of it."""
+        if vs and not (0 <= min(vs) and max(vs) < self.n):
+            raise InputError(f"vertex set {sorted(vs)} leaves [0,{self.n})")
+        return frozenset().union(*(self._adj[v] for v in vs)) - vs
+
     def vertices(self) -> range:
         return range(self.n)
 
@@ -99,12 +105,13 @@ class Graph:
     def components(self, removed: frozenset[int] | set[int] = frozenset()) -> list[set[int]]:
         """Connected components of the graph minus `removed`, each sorted
         by smallest member."""
+        removed = frozenset(removed)
         seen: set[int] = set(removed)
         comps = []
         for v in range(self.n):
             if v in seen:
                 continue
-            comp = self.reachable_from(v, frozenset(removed))
+            comp = self.reachable_from(v, removed)
             seen |= comp
             comps.append(comp)
         return comps

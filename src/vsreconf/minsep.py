@@ -3,24 +3,20 @@
 Enumeration follows the classical output-sensitive expansion scheme:
 seed with the minimal separator close to s, then push each known
 separator past each of its vertices by taking component neighborhoods of
-the graph minus (separator union closed neighborhood), minimalizing
-every candidate.
+the graph minus (separator union closed neighborhood), keeping the
+candidates that pass the full-component test.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule
-from .separators import (
-    State,
-    canon,
-    is_minimal_separator,
-    shrink_to_minimal,
-)
+from .separators import State, canon, shrink_to_minimal
 from .tar_tj import is_trivially_negative_tar, tj_to_tar_instance
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -36,10 +32,26 @@ class SeparatorFamily:
         return sorted(self.members, key=canon)
 
 
+def _has_full_sides(g: Graph, s: int, t: int, sep: State) -> bool:
+    """Full-component test: ``sep`` is a minimal st-separator iff s and t
+    lie in different components of G - sep whose neighborhoods are both
+    all of ``sep``.  Two BFS runs."""
+    comp_s = g.reachable_from(s, sep)
+    if t in comp_s or g.neighborhood(comp_s) != sep:
+        return False
+    return g.neighborhood(g.reachable_from(t, sep)) == sep
+
+
 def enumerate_minimal_separators(
     g: Graph, s: int, t: int, family_cap: int = DEFAULT_FAMILY_CAP
 ) -> SeparatorFamily:
-    """All minimal st-separators of a connected graph."""
+    """All minimal st-separators of a connected graph.
+
+    Each member is expanded once per vertex, and each expansion makes one
+    component pass plus, per candidate, the two BFS runs of the
+    full-component test: O(|F| n^2 (n + m)) for a family of |F|
+    separators.
+    """
     if not g.is_connected():
         raise InputError("enumeration expects a connected graph")
     if g.has_edge(s, t):
@@ -53,12 +65,12 @@ def enumerate_minimal_separators(
         for x in sorted(sep):
             removed = sep | (g.neighbors(x) - {s, t}) | {x}
             for comp in g.components(removed):
-                cand = frozenset(v for c in comp for v in g.neighbors(c)) - comp
+                cand = g.neighborhood(comp)
                 if cand in found or not cand:
                     continue
                 if s in cand or t in cand:
                     continue
-                if not is_minimal_separator(g, s, t, cand):
+                if not _has_full_sides(g, s, t, cand):
                     continue
                 if len(found) >= family_cap:
                     raise ResourceLimitError(
@@ -69,33 +81,36 @@ def enumerate_minimal_separators(
     return SeparatorFamily(frozenset(found), s, t)
 
 
+def _overlap(a: State, b: State, k: int) -> bool:
+    """Whether two separators are joined in the overlap graph: their union
+    fits the TAR bound (the size test first spares most unions)."""
+    return len(a) + len(b) <= k or len(a | b) <= k
+
+
 @dataclass(frozen=True)
 class OverlapGraph:
     """Minimal separators as nodes; edges join pairs whose union fits the
-    TAR bound."""
+    TAR bound.  Adjacency is evaluated on demand: ``neighbors`` costs one
+    pass over the nodes, and the full edge set is only built if read."""
 
-    nodes: list[State]
-    edges: frozenset[tuple[State, State]]
+    nodes: list[State]  # sorted by canon
     k: int
 
     def neighbors(self, node: State) -> list[State]:
-        out = []
-        for a, b in self.edges:
-            if a == node:
-                out.append(b)
-            elif b == node:
-                out.append(a)
-        return sorted(out, key=canon)
+        return [x for x in self.nodes if x != node and _overlap(node, x, self.k)]
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[State, State]]:
+        return frozenset(
+            (a, b)
+            for i, a in enumerate(self.nodes)
+            for b in self.nodes[i + 1:]
+            if _overlap(a, b, self.k)
+        )
 
 
 def build_overlap_graph(family: SeparatorFamily, k: int) -> OverlapGraph:
-    nodes = family.sorted_members()
-    edges = set()
-    for i, a in enumerate(nodes):
-        for b in nodes[i + 1:]:
-            if len(a | b) <= k:
-                edges.add((a, b))
-    return OverlapGraph(nodes, frozenset(edges), k)
+    return OverlapGraph(family.sorted_members(), k)
 
 
 @dataclass(frozen=True)
@@ -126,6 +141,10 @@ def tame_solve(
     YES iff the minimalized endpoints lie in the same overlap-graph
     component.  A TJ instance is first recast as TAR with bound k+1; the
     certificate is then a TAR(k+1) sequence for that recast instance.
+
+    After enumeration, the overlap-graph BFS scans the |F| members once
+    per node it expands, O(|F|^2) union tests at most, and stops as soon
+    as it reaches the target.
     """
     if instance.rule is Rule.TS:
         raise InputError("tame solver handles TAR and TJ only")
@@ -140,11 +159,11 @@ def tame_solve(
         return SolveResult(False)
 
     family = enumerate_minimal_separators(g, s, t, family_cap)
-    overlap = build_overlap_graph(family, k)
+    overlap = OverlapGraph(family.sorted_members(), k)
     sa = shrink_to_minimal(g, s, t, instance.source)
     sb = shrink_to_minimal(g, s, t, instance.target)
 
-    # BFS in the overlap graph, deterministic ordering
+    # BFS in the overlap graph, deterministic ordering, stopping at sb
     parent: dict[State, State | None] = {sa: None}
     queue = deque([sa])
     while queue and sb not in parent:
@@ -152,6 +171,8 @@ def tame_solve(
         for nxt in overlap.neighbors(cur):
             if nxt not in parent:
                 parent[nxt] = cur
+                if nxt == sb:
+                    break
                 queue.append(nxt)
     if sb not in parent:
         return SolveResult(False)

@@ -7,6 +7,7 @@ encodings for hashing/printing are the sorted tuples produced by
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations
 from typing import Iterable
 
@@ -70,10 +71,8 @@ def shrink_to_minimal(g: Graph, s: int, t: int, sep: Iterable[int]) -> State:
     sep = check_state(g, s, t, sep)
     if not is_separator(g, s, t, sep):
         raise ContractViolationError("shrink_to_minimal requires a separator")
-    comp_s = g.reachable_from(s, sep)
-    s1 = frozenset(v for c in comp_s for v in g.neighbors(c)) - comp_s
-    comp_t = g.reachable_from(t, s1)
-    result = frozenset(v for c in comp_t for v in g.neighbors(c)) - comp_t
+    s1 = g.neighborhood(g.reachable_from(s, sep))
+    result = g.neighborhood(g.reachable_from(t, s1))
     assert is_minimal_separator(g, s, t, result)
     return result
 
@@ -138,9 +137,9 @@ def minimum_separator_size(g: Graph, s: int, t: int) -> int:
     flow = 0
     while True:
         parent = {source: source}
-        queue = [source]
+        queue = deque([source])
         while queue and sink not in parent:
-            x = queue.pop(0)
+            x = queue.popleft()
             for y in adj.get(x, ()):
                 if y not in parent and cap.get((x, y), 0) > 0:
                     parent[y] = x

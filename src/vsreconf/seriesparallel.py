@@ -16,6 +16,7 @@ are routed through a state holding that cut vertex instead.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, InputError, NotApplicableError
@@ -170,6 +171,13 @@ def build_ps_tree(block_edges: list[tuple[int, int]]) -> PSTree:
     carry high ids in the reference fixtures, so the frame vertices
     survive to the root).  Raises NotApplicableError if the block is not
     series-parallel.
+
+    Worklist reduction (after Valdes, Tarjan and Lawler): per-vertex
+    incidence sets, live edges per endpoint pair in id order, and two
+    lazily invalidated heaps (parallel groups by lowest edge id,
+    degree-2 vertices by highest id) pick each reduction without a
+    rescan, so the cost is O(m log m) for the m edges of a simple block
+    (whose parallel groups never grow past two edges).
     """
     endpoints: dict[int, tuple[int, int]] = {}
     for i, (a, b) in enumerate(sorted(tuple(sorted(e)) for e in block_edges)):
@@ -177,64 +185,82 @@ def build_ps_tree(block_edges: list[tuple[int, int]]) -> PSTree:
     leaves = frozenset(endpoints)
     block_vertices = frozenset(v for e in endpoints.values() for v in e)
 
-    live = set(endpoints)
     op: dict[int, tuple[str, int | None, tuple[int, int]]] = {}
     parent: dict[int, int] = {}
     support: dict[int, int] = {}
     reductions: list[int] = []
     next_id = len(endpoints)
 
-    def incident(v: int) -> list[int]:
-        return sorted(e for e in live if v in endpoints[e])
+    incident: dict[int, set[int]] = {v: set() for v in block_vertices}
+    by_pair: dict[tuple[int, int], list[int]] = {}
+    for e, (a, b) in endpoints.items():
+        incident[a].add(e)
+        incident[b].add(e)
+        by_pair.setdefault((a, b), []).append(e)
+    # entries go stale when their group or vertex changes; every reduction
+    # pushes a fresh one for a group of two or more and a degree-2 vertex
+    parallel_heap = [(group[0], pair) for pair, group in by_pair.items() if len(group) >= 2]
+    heapq.heapify(parallel_heap)
+    degree2_heap = [-v for v in block_vertices if len(incident[v]) == 2]
+    heapq.heapify(degree2_heap)
 
-    while len(live) > 1:
-        # parallel reduction at the lowest edge-id pair
-        groups: dict[frozenset[int], list[int]] = {}
-        for e in sorted(live):
-            groups.setdefault(frozenset(endpoints[e]), []).append(e)
-        par = [g for g in groups.values() if len(g) >= 2]
-        if par:
-            e1, e2 = min(par, key=lambda g: g[0])[:2]
-            m = next_id
-            next_id += 1
-            endpoints[m] = endpoints[e1]
-            op[m] = ("P", None, (e1, e2))
-            parent[e1] = parent[e2] = m
-            live -= {e1, e2}
-            live.add(m)
-            reductions.append(m)
+    def reduce(
+        kind: str, created: int | None, kids: tuple[int, int], a: int, b: int
+    ) -> None:
+        """Replace the live edges ``kids`` by a new a-b edge."""
+        nonlocal next_id
+        m = next_id
+        next_id += 1
+        for e in kids:
+            x, y = endpoints[e]
+            by_pair[(x, y)].remove(e)
+            incident[x].discard(e)
+            incident[y].discard(e)
+            parent[e] = m
+        op[m] = (kind, created, kids)
+        if created is not None:
+            support[created] = m
+        reductions.append(m)
+        endpoints[m] = (a, b)
+        group = by_pair.setdefault((a, b), [])
+        group.append(m)  # m exceeds every live id, so the group stays sorted
+        if len(group) >= 2:
+            heapq.heappush(parallel_heap, (group[0], (a, b)))
+        for x in (a, b):
+            incident[x].add(m)
+            if len(incident[x]) == 2:
+                heapq.heappush(degree2_heap, -x)
+
+    for _ in range(len(leaves) - 1):
+        while parallel_heap:
+            first, pair = parallel_heap[0]
+            group = by_pair[pair]
+            if len(group) >= 2 and group[0] == first:
+                break
+            heapq.heappop(parallel_heap)
+        if parallel_heap:
+            # parallel reduction at the lowest edge-id pair
+            _, pair = heapq.heappop(parallel_heap)
+            reduce("P", None, (group[0], group[1]), *pair)
             continue
-        # series reduction at the highest degree-2 vertex
-        done = False
-        for w in sorted(block_vertices, reverse=True):
-            inc = incident(w)
-            if len(inc) != 2:
-                continue
-            e1, e2 = inc
-            u = next(x for x in endpoints[e1] if x != w)
-            v = next(x for x in endpoints[e2] if x != w)
-            if u == v:
-                continue  # would form a loop; the pair is parallel instead
-            a, b = min(u, v), max(u, v)
-            m = next_id
-            next_id += 1
-            endpoints[m] = (a, b)
-            first = e1 if a in endpoints[e1] else e2
-            second = e2 if first == e1 else e1
-            op[m] = ("S", w, (first, second))
-            parent[e1] = parent[e2] = m
-            support[w] = m
-            live -= {e1, e2}
-            live.add(m)
-            reductions.append(m)
-            done = True
-            break
-        if not done:
+        while degree2_heap and len(incident[-degree2_heap[0]]) != 2:
+            heapq.heappop(degree2_heap)
+        if not degree2_heap:
             raise NotApplicableError(
                 "block is not series-parallel: "
                 f"vertices {sorted(block_vertices)}"
             )
-    (root,) = live
+        # series reduction at the highest degree-2 vertex; its two edges
+        # end at distinct vertices, or they would form a parallel group
+        w = -heapq.heappop(degree2_heap)
+        e1, e2 = sorted(incident[w])
+        u = next(x for x in endpoints[e1] if x != w)
+        v = next(x for x in endpoints[e2] if x != w)
+        a, b = min(u, v), max(u, v)
+        first = e1 if a in endpoints[e1] else e2
+        second = e2 if first == e1 else e1
+        reduce("S", w, (first, second), a, b)
+    root = next_id - 1
     tree = PSTree(
         block_vertices=block_vertices,
         root_edge=root,

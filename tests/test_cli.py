@@ -274,6 +274,14 @@ class TestExportDot:
         assert code == 0 and out == ""
         assert outfile.read_text().startswith("graph ")
 
+    def test_unwritable_output_exit_2(self, capsys, tmp_path):
+        inst = write_instance(
+            tmp_path, "c4.inst", cycle_graph(4), 1, 3, "TJ", {0, 2}, {0, 2}
+        )
+        outfile = tmp_path / "missing-dir" / "rg.dot"
+        code, out, err = run(capsys, "export-dot", inst, "-o", str(outfile))
+        assert code == 2 and out == "" and "cannot write" in err
+
 
 class TestInstanceFiles:
     def test_graph_path_reference(self, capsys, tmp_path):
@@ -293,6 +301,21 @@ class TestInstanceFiles:
         p = tmp_path / "again.inst"
         p.write_text(format_instance(inst))
         assert load_instance(str(p)) == inst
+
+    def test_empty_graph_field_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "bad.inst"
+        p.write_text("graph\ns 0\nt 2\nrule TJ\nsource 1\ntarget 1\n")
+        code, _, err = run(capsys, "solve", str(p))
+        assert code == 2 and "empty graph field" in err
+
+    def test_duplicate_field_any_case_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "dup.inst"
+        p.write_text(
+            "graph 3 0-1 1-2\ns 0\nt 2\nrule TJ\nRULE TAR\nk 1\n"
+            "source 1\ntarget 1\n"
+        )
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == "" and "duplicate field 'rule'" in err
 
     def test_unreadable_graph_exit_2(self, capsys, tmp_path):
         p = tmp_path / "ref.inst"

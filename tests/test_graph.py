@@ -52,6 +52,16 @@ class TestGraphBasics:
         g = path_graph(3)
         assert sorted(sorted(b) for b in g.blocks()) == [[(0, 1)], [(1, 2)]]
 
+    def test_neighborhood_excludes_the_set(self):
+        g = path_graph(5)
+        assert g.neighborhood({0}) == {1}
+        assert g.neighborhood({1, 2}) == {0, 3}
+        assert g.neighborhood(set()) == frozenset()
+
+    def test_neighborhood_rejects_bad_vertex(self):
+        with pytest.raises(InputError):
+            path_graph(3).neighborhood({-1})
+
 
 class TestDiameter:
     def test_k3(self):

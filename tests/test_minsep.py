@@ -131,3 +131,48 @@ class TestTameSolve:
             if res.reachable:
                 assert verify_sequence(inst, res.sequence)
             done += 1
+
+
+def grid_3xm(m):
+    """3 x m grid, vertex r * m + c."""
+    edges = [(r * m + c, r * m + c + 1) for r in range(3) for c in range(m - 1)]
+    edges += [(r * m + c, (r + 1) * m + c) for r in range(2) for c in range(m)]
+    return Graph(3 * m, edges)
+
+
+class TestTameMatchesOracle:
+    """tame_solve against exhaustive search on graphs with many minimal
+    separators, under TAR and TJ."""
+
+    CASES = [(cycle_graph(n), 0, n // 2) for n in (5, 6, 7, 8)] + [
+        (grid_3xm(m), m, 2 * m - 1) for m in (3, 4)
+    ]
+
+    @pytest.mark.parametrize("rule", [Rule.TAR, Rule.TJ])
+    def test_answers_and_certificates(self, rule):
+        rng = random.Random(f"tame-{rule.value}")
+        yes = no = 0
+        for g, s, t in self.CASES:
+            seps = [x for x in brute_force_separators(g, s, t, max_size=4) if x]
+            for _ in range(12):
+                a = rng.choice(seps)
+                pool = [x for x in seps if x != a and (rule is Rule.TAR or len(x) == len(a))]
+                if not pool:
+                    continue
+                b = rng.choice(pool)
+                if rule is Rule.TJ:
+                    inst = ReconfigInstance(g, s, t, rule, a, b)
+                else:
+                    k = max(len(a), len(b)) + rng.randint(0, 1)
+                    inst = ReconfigInstance(g, s, t, rule, a, b, k)
+                res = tame_solve(inst)
+                assert res.reachable == solve_bfs(inst).reachable, (
+                    g.to_text(), s, t, sorted(a), sorted(b), inst.k,
+                )
+                if res.reachable:
+                    checked = tj_to_tar_instance(inst) if rule is Rule.TJ else inst
+                    assert verify_sequence(checked, res.sequence)
+                    yes += 1
+                else:
+                    no += 1
+        assert yes and (no or rule is Rule.TJ)

@@ -15,6 +15,7 @@ from vsreconf.separators import (
 from vsreconf.seriesparallel import (
     CutVertexSeparated,
     Parallel,
+    PSTree,
     RootBoth,
     RootNoEdge,
     build_ps_tree,
@@ -31,6 +32,7 @@ from fixtures import (
     PP_S,
     PP_T,
     parallel_pair_graph,
+    random_connected_graph,
     random_series_parallel_graph,
 )
 
@@ -98,6 +100,100 @@ class TestConstructionTree:
     def test_disconnected_rejected(self):
         with pytest.raises(InputError):
             recognize_and_decompose(Graph(4, [(0, 1), (2, 3)]))
+
+
+def reference_build_ps_tree(block_edges):
+    """The rescanning reduction: every step regroups all live edges to
+    find a parallel pair, then scans the vertices for a series one."""
+    endpoints = dict(enumerate(sorted(tuple(sorted(e)) for e in block_edges)))
+    leaves = frozenset(endpoints)
+    block_vertices = frozenset(v for e in endpoints.values() for v in e)
+    live, op, parent, support, reductions = set(endpoints), {}, {}, {}, []
+
+    def reduce(kind, created, kids, ends):
+        m = len(endpoints)
+        endpoints[m] = ends
+        op[m] = (kind, created, kids)
+        for e in kids:
+            parent[e] = m
+        if created is not None:
+            support[created] = m
+        live.difference_update(kids)
+        live.add(m)
+        reductions.append(m)
+
+    while len(live) > 1:
+        groups = {}
+        for e in sorted(live):
+            groups.setdefault(endpoints[e], []).append(e)
+        par = [grp for grp in groups.values() if len(grp) >= 2]
+        if par:
+            e1, e2 = min(par, key=lambda grp: grp[0])[:2]
+            reduce("P", None, (e1, e2), endpoints[e1])
+            continue
+        for w in sorted(block_vertices, reverse=True):
+            inc = sorted(e for e in live if w in endpoints[e])
+            if len(inc) != 2:
+                continue
+            e1, e2 = inc
+            u = next(x for x in endpoints[e1] if x != w)
+            v = next(x for x in endpoints[e2] if x != w)
+            if u == v:
+                continue
+            a, b = min(u, v), max(u, v)
+            first = e1 if a in endpoints[e1] else e2
+            reduce("S", w, (first, e2 if first == e1 else e1), (a, b))
+            break
+        else:
+            raise NotApplicableError("block is not series-parallel")
+    (root,) = live
+    return PSTree(
+        block_vertices, root, endpoints, op, parent, support,
+        list(reversed(reductions)), leaves,
+    )
+
+
+def _outcome(build, edges):
+    try:
+        tree = build(edges)
+    except NotApplicableError:
+        return None
+    return tree.to_term(), tree.order, tree.support
+
+
+class TestWorklistMatchesRescan:
+    def test_random_series_parallel_blocks(self):
+        rng = random.Random(2004)
+        blocks = 0
+        while blocks < 240:
+            g = random_series_parallel_graph(rng, rng.randint(3, 80))
+            for block in g.blocks():
+                edges = sorted(block)
+                if len(edges) < 2:
+                    continue
+                want = _outcome(reference_build_ps_tree, edges)
+                assert want is not None
+                assert _outcome(build_ps_tree, edges) == want
+                blocks += 1
+
+    def test_k4_refused_by_both(self):
+        edges = sorted(complete_graph(4).edges)
+        assert _outcome(reference_build_ps_tree, edges) is None
+        assert _outcome(build_ps_tree, edges) is None
+
+    def test_random_blocks_agree(self):
+        rng = random.Random(1982)
+        refused = 0
+        for _ in range(150):
+            g = random_connected_graph(rng, rng.randint(5, 14), rng.uniform(0.15, 0.5))
+            for block in g.blocks():
+                edges = sorted(block)
+                if len(edges) < 2:
+                    continue
+                want = _outcome(reference_build_ps_tree, edges)
+                assert _outcome(build_ps_tree, edges) == want
+                refused += want is None
+        assert refused >= 50
 
 
 class TestClassification:
