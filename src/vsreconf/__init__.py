@@ -3,10 +3,11 @@ and bounded token addition/removal."""
 
 from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, translate_sequence, vsr_to_isr
 from .cliquepair import characterize, is_3p1_diamond_free, solve_tar_tj_3p1d, solve_ts_3p1d
+from .dispatch import solve
 from .graph import Graph
-from .instance import ReconfigInstance, Rule
+from .instance import ReconfigInstance, Rule, Solution
 from .minsep import enumerate_minimal_separators, tame_solve
-from .oracle import OracleResult, enumerate_states, export_reconfig_graph, solve_bfs, verify_sequence
+from .oracle import enumerate_states, export_reconfig_graph, solve_bfs, verify_sequence
 from .separators import (
     brute_force_minimal_separators,
     brute_force_separators,
@@ -31,10 +32,11 @@ from .tar_tj import (
 )
 
 __all__ = [
+    "solve",
+    "Solution",
     "Graph",
     "ReconfigInstance",
     "Rule",
-    "OracleResult",
     "solve_bfs",
     "verify_sequence",
     "enumerate_states",

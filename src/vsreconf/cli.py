@@ -27,34 +27,15 @@ import sys
 from pathlib import Path
 
 from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, vsr_to_isr
-from .cliquepair import (
-    CutVertexCliques,
-    MatchedCliques,
-    NotInScope,
-    SpecialC5,
-    characterize,
-    solve_tar_tj_3p1d,
-    solve_ts_3p1d,
-)
-from .errors import (
-    InputError,
-    InvalidInstanceError,
-    NotApplicableError,
-    ResourceLimitError,
-    VsreconfError,
-)
+from .cliquepair import CutVertexCliques, MatchedCliques, SpecialC5, characterize
+from .dispatch import ENGINES, solve
+from .errors import InputError, InvalidInstanceError, NotApplicableError, ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
-from .minsep import enumerate_minimal_separators, tame_solve
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
+from .minsep import enumerate_minimal_separators
 from .oracle import export_reconfig_graph, solve_bfs, verify_sequence
-from .separators import State
-from .seriesparallel import recognize_and_decompose, sp_solve_tj
-from .tar_tj import (
-    normalize_tar_sequence,
-    tar_to_tj_instance,
-    tar_to_tj_sequence,
-    tj_to_tar_instance,
-)
+from .seriesparallel import recognize_and_decompose
+from .tar_tj import tar_to_tj_instance, tj_to_tar_instance
 
 
 class _Parser(argparse.ArgumentParser):
@@ -118,22 +99,22 @@ def _require(fields: dict[str, list[str]], key: str, path: str) -> list[str]:
     return fields[key]
 
 
+def _scalar(tokens: list[str], what: str) -> int:
+    try:
+        (value,) = tokens
+        return int(value)
+    except ValueError as exc:
+        raise InputError(f"bad {what}: {' '.join(tokens)!r}") from exc
+
+
 def load_instance(path: str) -> ReconfigInstance:
     fields = _parse_keyword_file(path)
     base = Path(path).parent
     g = _parse_graph_value(_require(fields, "graph", path), base)
     rule = Rule.parse(" ".join(_require(fields, "rule", path)))
-    k = None
-    if "k" in fields:
-        try:
-            k = int(fields["k"][0])
-        except (IndexError, ValueError) as exc:
-            raise InputError("bad k value") from exc
-    try:
-        s = int(_require(fields, "s", path)[0])
-        t = int(_require(fields, "t", path)[0])
-    except (IndexError, ValueError) as exc:
-        raise InputError("bad terminal id") from exc
+    k = _scalar(fields["k"], "k value") if "k" in fields else None
+    s = _scalar(_require(fields, "s", path), "terminal id")
+    t = _scalar(_require(fields, "t", path), "terminal id")
     return ReconfigInstance(
         g,
         s,
@@ -190,9 +171,11 @@ def format_isr_instance(inst: IsrInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_sequence(seq: ReconfigSequence) -> None:
-    for st in seq:
-        print(" ".join(map(str, sorted(st))))
+def _print_answer(sol: Solution, with_sequence: bool) -> None:
+    print("YES" if sol.reachable else "NO")
+    if with_sequence and sol.sequence is not None:
+        for st in sol.sequence:
+            print(" ".join(map(str, sorted(st))))
 
 
 def _load_sequence(path: str) -> ReconfigSequence:
@@ -208,62 +191,11 @@ def _load_sequence(path: str) -> ReconfigSequence:
 
 
 # ---------------------------------------------------------------------------
-# solve dispatch
-
-
-def _solve_with_engine(
-    inst: ReconfigInstance, engine: str
-) -> tuple[bool, ReconfigSequence | None]:
-    """YES/NO plus an optional certificate, under the chosen engine."""
-    if engine == "oracle":
-        res = solve_bfs(inst)
-        return res.reachable, res.sequence
-    if engine == "class":
-        r = (
-            solve_ts_3p1d(inst)
-            if inst.rule is Rule.TS
-            else solve_tar_tj_3p1d(inst)
-        )
-        return r.reachable, r.sequence
-    if engine == "sp":
-        return True, sp_solve_tj(inst)
-    if engine == "tame":
-        r = tame_solve(inst)
-        seq = r.sequence
-        if r.reachable and inst.rule is Rule.TJ and seq is not None:
-            # the tame certificate is a TAR(k+1) walk; fold it back
-            g, s, t = inst.graph, inst.s, inst.t
-            k = len(inst.source)
-            if len(seq) > 1:
-                seq = tar_to_tj_sequence(
-                    g, s, t, normalize_tar_sequence(g, s, t, seq, k), k
-                )
-        return r.reachable, seq
-    assert engine == "auto"
-    if not isinstance(characterize(inst.graph), NotInScope):
-        return _solve_with_engine(inst, "class")
-    if inst.rule is Rule.TJ:
-        try:
-            return _solve_with_engine(inst, "sp")
-        except NotApplicableError:
-            pass
-    if inst.rule is Rule.TS:
-        return _solve_with_engine(inst, "oracle")
-    return _solve_with_engine(inst, "tame")
+# subcommands
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    inst = load_instance(args.instance)
-    yes, seq = _solve_with_engine(inst, args.engine)
-    if yes:
-        print("YES")
-        if args.sequence and seq is not None:
-            check = verify_sequence(inst, seq)
-            if not check:
-                raise VsreconfError(f"internal: bad certificate: {check.reason}")
-            _print_sequence(seq)
-    else:
-        print("NO")
+    _print_answer(solve(load_instance(args.instance), args.engine), args.sequence)
     return 0
 
 
@@ -274,13 +206,7 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         check = verify_sequence(inst, seq)
         print("VALID" if check else f"INVALID: {check.reason}")
         return 0
-    res = solve_bfs(inst, state_cap=args.state_cap)
-    if res.reachable:
-        print("YES")
-        if args.sequence and res.sequence is not None:
-            _print_sequence(res.sequence)
-    else:
-        print("NO")
+    _print_answer(solve_bfs(inst, state_cap=args.state_cap), args.sequence)
     return 0
 
 
@@ -390,11 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_solve = sub.add_parser("solve", help="answer an instance (auto-dispatch)")
     sp_solve.add_argument("instance")
     sp_solve.add_argument("--sequence", action="store_true")
-    sp_solve.add_argument(
-        "--engine",
-        choices=["auto", "oracle", "tame", "class", "sp"],
-        default="auto",
-    )
+    sp_solve.add_argument("--engine", choices=ENGINES, default="auto")
     sp_solve.set_defaults(func=_cmd_solve)
 
     sp_oracle = sub.add_parser("oracle", help="exhaustive search / verification")

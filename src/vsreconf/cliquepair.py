@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
-from .minsep import SolveResult
-from .oracle import solve_bfs, verify_sequence
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
+from .oracle import solve_bfs
 from .separators import State
+from .sequence import certify, dedupe, jumps
 from .tar_tj import (
     is_trivially_negative_tar,
     tar_to_tj_instance,
@@ -162,8 +162,6 @@ def _require_class(g: Graph) -> Characterization:
     ch = characterize(g)
     if isinstance(ch, NotInScope):
         raise NotApplicableError(f"graph outside the two-clique class: {ch.reason}")
-    if __debug__ and not is_3p1_diamond_free(g):
-        raise ContractViolationError("characterization disagrees with subgraph check")
     return ch
 
 
@@ -177,26 +175,6 @@ def _terminal_sides(
     if s in ch.q2 and t in ch.q1:
         return ch.q2, ch.q1
     raise InputError("terminals must lie in different cliques")
-
-
-def _jump_walk(
-    inst: ReconfigInstance, start: State, goal: State
-) -> ReconfigSequence:
-    """One-token-at-a-time jumps from start to goal (sorted pairing),
-    asserting every intermediate state stays a separator."""
-    seq = [start]
-    cur = start
-    for src, dst in zip(sorted(start - goal), sorted(goal - start)):
-        cur = cur - {src} | {dst}
-        seq.append(cur)
-    assert cur == goal
-    probe = ReconfigInstance(
-        inst.graph, inst.s, inst.t, Rule.TJ, start, goal
-    )
-    check = verify_sequence(probe, seq)
-    if not check:
-        raise ContractViolationError(f"constructed walk invalid: {check.reason}")
-    return seq
 
 
 def _canonical_matched_state(
@@ -238,74 +216,61 @@ def _matched_to_canonical(
             raise ContractViolationError("state misses a matching edge")
         cur = cur - {o} | {c}
         seq.append(cur)
-    extra_now = sorted(cur - canonical)
-    extra_goal = sorted(canonical - cur)
-    for src, dst in zip(extra_now, extra_goal):
-        cur = cur - {src} | {dst}
-        seq.append(cur)
-    if cur != canonical:
+    seq += jumps(cur, canonical)[1:]
+    if seq[-1] != canonical:
         raise ContractViolationError("canonicalization failed")
     return seq
 
 
-def solve_tar_tj_3p1d(instance: ReconfigInstance) -> SolveResult:
+def _tj_walk(instance: ReconfigInstance, ch: Characterization) -> ReconfigSequence:
+    """TJ walk between the endpoints of an in-class instance, before the
+    solver's final check."""
+    g, s, t = instance.graph, instance.s, instance.t
+    sa, sb = instance.source, instance.target
+    if sa == sb:
+        return [sa]
+    if isinstance(ch, CutVertexCliques):
+        # every state contains the cut vertex, and every superset of it is
+        # a separator, so tokens jump directly to their destinations
+        return jumps(sa, sb)
+    if isinstance(ch, MatchedCliques):
+        canonical = _canonical_matched_state(g, ch, s, t, len(sa))
+        fwd = _matched_to_canonical(instance, ch, sa, canonical)
+        bwd = _matched_to_canonical(instance, ch, sb, canonical)
+        return dedupe(fwd + bwd[::-1])
+    # five-cycle: the state space is tiny; exhaustive search is exact
+    return solve_bfs(instance).sequence  # type: ignore[return-value]
+
+
+def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
     """Always-YES constructive solver for TJ (and TAR via conversion) on
     the two-clique class; the only NO answers are stuck TAR endpoints."""
     ch = _require_class(instance.graph)
     if instance.rule is Rule.TS:
         raise InputError("TS instances are handled by solve_ts_3p1d")
+    if instance.rule is Rule.TJ and isinstance(ch, SpecialC5):
+        return solve_bfs(instance)
+    if instance.rule is Rule.TJ or instance.source == instance.target:
+        return Solution(True, certify(instance, _tj_walk(instance, ch)))
 
-    if instance.rule is Rule.TAR:
-        if instance.source == instance.target:
-            return SolveResult(True, [instance.source])
-        if is_trivially_negative_tar(instance):
-            return SolveResult(False)
-        conv = tar_to_tj_instance(instance)
-        inner = solve_tar_tj_3p1d(conv.tj_instance)
-        assert inner.reachable and inner.sequence is not None
-        k = instance.k
-        assert k is not None
-        mid = tj_to_tar_sequence(inner.sequence)
-        seq = list(conv.source_bridge) + mid + list(reversed(conv.target_bridge))
-        out = [seq[0]]
-        for st in seq[1:]:
-            if st != out[-1]:
-                out.append(st)
-        check = verify_sequence(instance, out)
-        if not check:
-            raise ContractViolationError(f"stitched TAR sequence invalid: {check.reason}")
-        return SolveResult(True, out)
-
-    g, s, t = instance.graph, instance.s, instance.t
-    sa, sb = instance.source, instance.target
-    if sa == sb:
-        return SolveResult(True, [sa])
-
-    if isinstance(ch, CutVertexCliques):
-        # every state contains the cut vertex, and every superset of it is
-        # a separator, so tokens jump directly to their destinations
-        return SolveResult(True, _jump_walk(instance, sa, sb))
-
-    if isinstance(ch, MatchedCliques):
-        canonical = _canonical_matched_state(g, ch, s, t, len(sa))
-        fwd = _matched_to_canonical(instance, ch, sa, canonical)
-        bwd = _matched_to_canonical(instance, ch, sb, canonical)
-        seq = fwd + list(reversed(bwd))[1:]
-        out = [seq[0]]
-        for st in seq[1:]:
-            if st != out[-1]:
-                out.append(st)
-        check = verify_sequence(instance, out)
-        if not check:
-            raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
-        return SolveResult(True, out)
-
-    # five-cycle: the state space is tiny; exhaustive search is exact
-    res = solve_bfs(instance)
-    return SolveResult(res.reachable, res.sequence)
+    g, k = instance.graph, instance.k
+    assert k is not None
+    tar = instance
+    if k > g.n - 1:
+        # states never hold s or t, so every bound from n-2 up admits the
+        # same states; n-1 is the largest whose TJ recast (k-1 padded
+        # tokens) fits in the n-2 non-terminals
+        tar = ReconfigInstance(g, instance.s, instance.t, Rule.TAR,
+                               instance.source, instance.target, g.n - 1)
+    if is_trivially_negative_tar(tar):
+        return Solution(False)
+    conv = tar_to_tj_instance(tar)
+    mid = tj_to_tar_sequence(_tj_walk(conv.tj_instance, ch))
+    seq = conv.source_bridge + mid + conv.target_bridge[::-1]
+    return Solution(True, certify(instance, dedupe(seq)))
 
 
-def solve_ts_3p1d(instance: ReconfigInstance) -> SolveResult:
+def solve_ts_3p1d(instance: ReconfigInstance) -> Solution:
     """TS decision by token counting.
 
     Cut-vertex shape: the cut vertex holds a token in every state and
@@ -319,16 +284,12 @@ def solve_ts_3p1d(instance: ReconfigInstance) -> SolveResult:
     ch = _require_class(instance.graph)
     if instance.rule is not Rule.TS:
         raise InputError("expects a TS instance")
-    g, s, t = instance.graph, instance.s, instance.t
-    sa, sb = instance.source, instance.target
-    if sa == sb:
-        return SolveResult(True, [sa])
-
     if isinstance(ch, SpecialC5):
-        res = solve_bfs(instance)
-        return SolveResult(res.reachable, res.sequence)
+        return solve_bfs(instance)
 
-    qs, qt = _terminal_sides(ch, s, t)
+    s, t = instance.s, instance.t
+    sa, sb = instance.source, instance.target
+    qs, _ = _terminal_sides(ch, s, t)
     if isinstance(ch, CutVertexCliques):
         side = qs - {ch.w}
         yes = len(sa & side) == len(sb & side)
@@ -338,8 +299,8 @@ def solve_ts_3p1d(instance: ReconfigInstance) -> SolveResult:
         )
         yes = len(sa & qs) == len(sb & qs) or passage
     if not yes:
-        return SolveResult(False)
+        return Solution(False)
     res = solve_bfs(instance)
     if not res.reachable:
         raise ContractViolationError("counting rule predicted YES; search says NO")
-    return SolveResult(True, res.sequence)
+    return res

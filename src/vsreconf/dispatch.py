@@ -1,0 +1,54 @@
+"""The library's one entry point: :func:`solve` answers an instance with
+a chosen engine, or picks one.
+
+``auto`` takes the first route that applies: the two-clique class
+solvers, the series-parallel TJ construction, exhaustive search for TS,
+and the tame-class solver for the rest.
+"""
+
+from __future__ import annotations
+
+from dataclasses import replace
+
+from .cliquepair import NotInScope, characterize, solve_tar_tj_3p1d, solve_ts_3p1d
+from .errors import InputError, NotApplicableError
+from .instance import ReconfigInstance, Rule, Solution
+from .minsep import tame_solve
+from .oracle import solve_bfs
+from .seriesparallel import sp_solve_tj
+from .tar_tj import normalize_tar_sequence, tar_to_tj_sequence
+
+ENGINES = ("auto", "oracle", "tame", "class", "sp")
+
+
+def solve(instance: ReconfigInstance, engine: str = "auto") -> Solution:
+    """YES/NO plus, for YES, a checked certificate; ``engine`` of the
+    result names the engine that answered."""
+    if engine == "auto":
+        if not isinstance(characterize(instance.graph), NotInScope):
+            return solve(instance, "class")
+        if instance.rule is Rule.TJ:
+            try:
+                return solve(instance, "sp")
+            except NotApplicableError:
+                pass
+        return solve(instance, "oracle" if instance.rule is Rule.TS else "tame")
+    if engine == "oracle":
+        res = solve_bfs(instance)
+    elif engine == "class":
+        res = (solve_ts_3p1d if instance.rule is Rule.TS else solve_tar_tj_3p1d)(instance)
+    elif engine == "sp":
+        res = sp_solve_tj(instance)
+    elif engine == "tame":
+        res = tame_solve(instance)
+        seq = res.sequence
+        if instance.rule is Rule.TJ and seq is not None and len(seq) > 1:
+            # the tame certificate is a TAR(k+1) walk; fold it back (the
+            # conversion checks every state and step of what it returns)
+            g, s, t = instance.graph, instance.s, instance.t
+            k = len(instance.source)
+            seq = tar_to_tj_sequence(g, s, t, normalize_tar_sequence(g, s, t, seq, k), k)
+            res = replace(res, sequence=seq)
+    else:
+        raise InputError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
+    return replace(res, engine=engine)

@@ -13,6 +13,22 @@ from .separators import State, check_state, is_separator
 ReconfigSequence = list[State]
 
 
+@dataclass(frozen=True)
+class Solution:
+    """Answer of any solver: reachability plus, for YES, a certificate
+    the solver has checked before returning it."""
+
+    reachable: bool
+    sequence: ReconfigSequence | None = None
+    states_explored: int = 0
+    engine: str = ""
+
+    @property
+    def distance(self) -> int | None:
+        """Steps in the certificate; the oracle's is a shortest path."""
+        return None if self.sequence is None else len(self.sequence) - 1
+
+
 class Rule(enum.Enum):
     TS = "TS"
     TJ = "TJ"

@@ -15,8 +15,9 @@ from functools import cached_property
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
+from .instance import ReconfigInstance, Rule, Solution
 from .separators import State, canon, shrink_to_minimal
+from .sequence import certify, dedupe, tar_steps
 from .tar_tj import is_trivially_negative_tar, tj_to_tar_instance
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -113,29 +114,9 @@ def build_overlap_graph(family: SeparatorFamily, k: int) -> OverlapGraph:
     return OverlapGraph(family.sorted_members(), k)
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    reachable: bool
-    sequence: ReconfigSequence | None = None
-
-
-def _greedy_edge_walk(cur: State, nxt: State) -> ReconfigSequence:
-    """TAR steps across one overlap edge: add the missing vertices in
-    ascending order, then drop the surplus ones."""
-    seq: ReconfigSequence = []
-    st = cur
-    for v in sorted(nxt - cur):
-        st = st | {v}
-        seq.append(st)
-    for v in sorted(cur - nxt):
-        st = st - {v}
-        seq.append(st)
-    return seq
-
-
 def tame_solve(
     instance: ReconfigInstance, family_cap: int = DEFAULT_FAMILY_CAP
-) -> SolveResult:
+) -> Solution:
     """Polynomial TAR/TJ solver for graphs with few minimal separators.
 
     YES iff the minimalized endpoints lie in the same overlap-graph
@@ -154,9 +135,9 @@ def tame_solve(
     assert k is not None
 
     if instance.source == instance.target:
-        return SolveResult(True, [instance.source])
+        return Solution(True, certify(instance, [instance.source]))
     if is_trivially_negative_tar(instance):
-        return SolveResult(False)
+        return Solution(False)
 
     family = enumerate_minimal_separators(g, s, t, family_cap)
     overlap = OverlapGraph(family.sorted_members(), k)
@@ -175,27 +156,16 @@ def tame_solve(
                     break
                 queue.append(nxt)
     if sb not in parent:
-        return SolveResult(False)
+        return Solution(False)
 
     path = [sb]
     while parent[path[-1]] is not None:
         path.append(parent[path[-1]])  # type: ignore[arg-type]
     path.reverse()
 
-    seq: ReconfigSequence = [instance.source]
-    st = instance.source
-    for v in sorted(instance.source - sa):
-        st = st - {v}
-        seq.append(st)
+    # drop to sa, cross each overlap edge through the union, add back up
+    seq = tar_steps(instance.source, sa)
     for cur, nxt in zip(path, path[1:]):
-        seq.extend(_greedy_edge_walk(st, nxt))
-        st = nxt
-    for v in sorted(instance.target - sb):
-        st = st | {v}
-        seq.append(st)
-    # collapse accidental no-ops at the seams
-    out = [seq[0]]
-    for x in seq[1:]:
-        if x != out[-1]:
-            out.append(x)
-    return SolveResult(True, out)
+        seq += tar_steps(cur, cur | nxt) + tar_steps(cur | nxt, nxt)
+    seq += tar_steps(sb, instance.target)
+    return Solution(True, certify(instance, dedupe(seq)))

@@ -13,18 +13,11 @@ from itertools import combinations
 
 from .errors import ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule, states_adjacent
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution, states_adjacent
 from .separators import State, canon, format_state, is_separator
+from .sequence import certify
 
 DEFAULT_STATE_CAP = 5_000_000
-
-
-@dataclass(frozen=True)
-class OracleResult:
-    reachable: bool
-    distance: int | None
-    sequence: ReconfigSequence | None
-    states_explored: int
 
 
 @dataclass(frozen=True)
@@ -66,16 +59,12 @@ def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
     return out
 
 
-def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> OracleResult:
+def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> Solution:
     """Shortest-path BFS in the implicit reconfiguration graph."""
     source, target = instance.source, instance.target
-    if source == target:
-        return OracleResult(True, 0, [source], 1)
-
     parent: dict[State, State | None] = {source: None}
-    dist = {source: 0}
     queue = deque([source])
-    while queue:
+    while queue and target not in parent:
         cur = queue.popleft()
         for nxt in sorted(rule_neighbors(instance, cur), key=canon):
             if nxt in parent:
@@ -85,17 +74,16 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
                     f"state cap {state_cap} exceeded while solving {instance.describe()}"
                 )
             parent[nxt] = cur
-            dist[nxt] = dist[cur] + 1
             if nxt == target:
-                seq: ReconfigSequence = []
-                walk: State | None = nxt
-                while walk is not None:
-                    seq.append(walk)
-                    walk = parent[walk]
-                seq.reverse()
-                return OracleResult(True, dist[nxt], seq, len(parent))
+                break
             queue.append(nxt)
-    return OracleResult(False, None, None, len(parent))
+    if target not in parent:
+        return Solution(False, states_explored=len(parent))
+    seq: ReconfigSequence = [target]
+    while parent[seq[-1]] is not None:
+        seq.append(parent[seq[-1]])  # type: ignore[arg-type]
+    seq.reverse()
+    return Solution(True, certify(instance, seq), len(parent))
 
 
 def verify_sequence(instance: ReconfigInstance, seq: ReconfigSequence) -> VerifyResult:

@@ -1,0 +1,49 @@
+"""Sequence plumbing shared by the solvers: the two single-token walks
+between states, de-duplication at the seams of stitched walks, and the
+certificate check each solver makes once, before it returns."""
+
+from __future__ import annotations
+
+from .errors import ContractViolationError
+from .instance import ReconfigInstance, ReconfigSequence
+from .separators import State
+
+
+def dedupe(seq: ReconfigSequence) -> ReconfigSequence:
+    """Drop consecutive repeats, as left where walks are concatenated."""
+    out = seq[:1]
+    for st in seq[1:]:
+        if st != out[-1]:
+            out.append(st)
+    return out
+
+
+def jumps(a: State, b: State) -> ReconfigSequence:
+    """TJ walk from ``a`` to ``b``: the tokens of a - b jump, in ascending
+    order, to the vertices of b - a, in ascending order."""
+    seq = [a]
+    for x, y in zip(sorted(a - b), sorted(b - a)):
+        seq.append(seq[-1] - {x} | {y})
+    return seq
+
+
+def tar_steps(a: State, b: State) -> ReconfigSequence:
+    """TAR walk from ``a`` to ``b``: remove a - b, then add b - a, each in
+    ascending order."""
+    seq = [a]
+    for v in sorted(a - b):
+        seq.append(seq[-1] - {v})
+    for v in sorted(b - a):
+        seq.append(seq[-1] | {v})
+    return seq
+
+
+def certify(instance: ReconfigInstance, seq: ReconfigSequence) -> ReconfigSequence:
+    """Return ``seq`` if it is a valid certificate for ``instance``; raise
+    :class:`ContractViolationError` otherwise."""
+    from .oracle import verify_sequence  # the oracle certifies through here too
+
+    check = verify_sequence(instance, seq)
+    if not check:
+        raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
+    return seq

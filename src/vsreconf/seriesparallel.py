@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, is_separator, shrink_to_minimal
+from .sequence import certify, dedupe, jumps
 
 
 # ---------------------------------------------------------------------------
@@ -814,20 +815,7 @@ def _with_surplus(
     return out
 
 
-def _bridge(start: State, goal: State, keep: State) -> ReconfigSequence:
-    """Jump the tokens off ``keep`` one at a time; all intermediate states
-    contain ``keep`` and are therefore separators."""
-    seq: ReconfigSequence = []
-    cur = start
-    for x, d in zip(sorted(start - goal), sorted(goal - start)):
-        assert x not in keep and d not in keep
-        cur = cur - {x} | {d}
-        seq.append(cur)
-    assert cur == goal
-    return seq
-
-
-def sp_solve_tj(instance: ReconfigInstance) -> ReconfigSequence:
+def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     """Constructive TJ solver: the answer is always YES.
 
     Pairs split by a cut vertex route both endpoints through states
@@ -840,7 +828,7 @@ def sp_solve_tj(instance: ReconfigInstance) -> ReconfigSequence:
     g, s, t = instance.graph, instance.s, instance.t
     a, b = instance.source, instance.target
     if a == b:
-        return [a]
+        return Solution(True, certify(instance, [a]))
     decomp = recognize_and_decompose(g)
     tree = decomp.tree_for(s, t)
 
@@ -863,23 +851,12 @@ def sp_solve_tj(instance: ReconfigInstance) -> ReconfigSequence:
             mid = goal - {x} | {wv}
             tail = [goal]
             goal = mid
-        seq.extend(_bridge(cur, goal, frozenset({wv})))
-        seq.extend(tail)
+        seq += jumps(cur, goal) + tail
     else:
         a_core = shrink_to_minimal(g, s, t, a)
         b_core = shrink_to_minimal(g, s, t, b)
         fwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, a_core), a)
         bwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, b_core), b)
-        canon = canonical_separator(decomp, s, t)
-        seq = fwd + _bridge(fwd[-1], bwd[-1], canon.members) + list(reversed(bwd))[1:]
-
-    out = [seq[0]]
-    for st_ in seq[1:]:
-        if st_ != out[-1]:
-            out.append(st_)
-    from .oracle import verify_sequence
-
-    check = verify_sequence(instance, out)
-    if not check:
-        raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
-    return out
+        # both ends contain M(s, t), which no jump of the middle walk touches
+        seq = fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1]
+    return Solution(True, certify(instance, dedupe(seq)))

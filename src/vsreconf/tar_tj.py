@@ -20,6 +20,7 @@ from .separators import (
     is_separator,
     shrink_to_minimal,
 )
+from .sequence import tar_steps
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
@@ -50,15 +51,7 @@ def normalize_tar_sequence(
     if len(seq[0]) != k or len(seq[-1]) != k:
         raise ContractViolationError("endpoint states must have size k")
 
-    seq = list(seq)
-    # drop immediate repetitions up front; TAR adjacency forbids them in a
-    # valid sequence, but callers may concatenate segments
-    out = [seq[0]]
-    for st in seq[1:]:
-        if st != out[-1]:
-            out.append(st)
-    seq = out
-
+    seq = list(seq)  # edited in place below
     while True:
         small = [i for i, st in enumerate(seq) if len(st) < k]
         if not small:
@@ -155,21 +148,6 @@ class TarToTjConversion:
     target_bridge: ReconfigSequence  # TAR(k): target  -> primed target
 
 
-def _monotone_bridge(start: State, core: State, goal: State) -> ReconfigSequence:
-    """TAR path start -> core -> goal where core = start & goal contains a
-    separator; removals then additions, ascending ids."""
-    seq = [start]
-    cur = start
-    for v in sorted(start - core):
-        cur = cur - {v}
-        seq.append(cur)
-    for v in sorted(goal - core):
-        cur = cur | {v}
-        seq.append(cur)
-    assert cur == goal
-    return seq
-
-
 def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
     """Build the equivalent TJ instance of a non-trivially-negative TAR
     instance: shrink each endpoint to a minimal separator and pad it up to
@@ -186,7 +164,9 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
     if k - 1 > g.n - 2:
         raise InvalidInstanceError("cannot pad states: k-1 exceeds n-2")
 
-    def primed(st: State) -> tuple[State, State]:
+    def primed(st: State) -> tuple[State, ReconfigSequence]:
+        """The padded state and the TAR bridge to it: down to the
+        minimal core, then up through the smallest free ids."""
         core = shrink_to_minimal(g, s, t, st)
         if len(core) > k - 1:
             # only reachable when source == target is a minimal separator
@@ -201,13 +181,9 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
                 break
             if v not in padded and v not in (s, t):
                 padded.add(v)
-        return core, frozenset(padded)
+        goal = frozenset(padded)
+        return goal, tar_steps(st, core) + tar_steps(core, goal)[1:]
 
-    core_a, sa = primed(instance.source)
-    core_b, sb = primed(instance.target)
-    tj = ReconfigInstance(g, s, t, Rule.TJ, sa, sb)
-    return TarToTjConversion(
-        tj,
-        _monotone_bridge(instance.source, core_a, sa),
-        _monotone_bridge(instance.target, core_b, sb),
-    )
+    sa, bridge_a = primed(instance.source)
+    sb, bridge_b = primed(instance.target)
+    return TarToTjConversion(ReconfigInstance(g, s, t, Rule.TJ, sa, sb), bridge_a, bridge_b)

@@ -387,7 +387,7 @@ def test_11_sp_solver():
         while len(b) < len(a):
             b.add(rng.choice([v for v in free if v not in b]))
         inst = ReconfigInstance(g, s, t, Rule.TJ, frozenset(a), frozenset(b))
-        seq = sp_solve_tj(inst)
+        seq = sp_solve_tj(inst).sequence
         assert verify_sequence(inst, seq), (g.to_text(), s, t)
         if g.n <= 10:
             assert solve_bfs(inst).reachable

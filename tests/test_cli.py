@@ -322,3 +322,15 @@ class TestInstanceFiles:
         p.write_text("graph nope.graph\ns 0\nt 1\nrule TJ\nsource 2\ntarget 2\n")
         code, _, err = run(capsys, "solve", str(p))
         assert code == 2 and "cannot read" in err
+
+    @pytest.mark.parametrize("field, value", [("s", "0 1"), ("t", "2 4"), ("k", "2 9")])
+    def test_scalar_field_takes_one_token_exit_2(self, capsys, tmp_path, field, value):
+        lines = {"s": "0", "t": "2", "k": "2"}
+        lines[field] = value
+        p = tmp_path / "scalar.inst"
+        p.write_text(
+            f"graph 4 0-1 1-2 2-3 3-0\ns {lines['s']}\nt {lines['t']}\nrule TAR\n"
+            f"k {lines['k']}\nsource 1 3\ntarget 1 3\n"
+        )
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == "" and "error: bad" in err

@@ -50,6 +50,38 @@ def diamond():
     return Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
 
 
+def _relabel(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph(n, [(perm[a], perm[b]) for a, b in edges])
+
+
+def cut_vertex_cliques(rng, n):
+    """Cliques {0..c} and {c..n-1}, glued at c, randomly relabeled."""
+    c = rng.randint(1, n - 2)
+    edges = list(itertools.combinations(range(c + 1), 2))
+    edges += list(itertools.combinations(range(c, n), 2))
+    return _relabel(rng, n, edges)
+
+
+def matched_cliques(rng, n):
+    """Disjoint cliques {0..c-1} and {c..n-1} joined by a random nonempty
+    matching, randomly relabeled."""
+    c = rng.randint(2, n - 2)
+    q2 = list(range(c, n))
+    rng.shuffle(q2)
+    size = rng.randint(1, min(c, n - c))
+    edges = list(itertools.combinations(range(c), 2))
+    edges += list(itertools.combinations(range(c, n), 2))
+    edges += list(zip(range(size), q2))
+    return _relabel(rng, n, edges)
+
+
+def cocktail_party(m):
+    """K_2m minus the perfect matching {2i, 2i+1}: diamonds everywhere."""
+    return Graph(2 * m, [(a, b) for a, b in itertools.combinations(range(2 * m), 2) if a // 2 != b // 2])
+
+
 class TestForbiddenSubgraphs:
     def test_bowtie_in_class(self):
         assert is_3p1_diamond_free(bowtie())
@@ -111,6 +143,16 @@ class TestCharacterize:
             in_class = is_3p1_diamond_free(g)
             ch = characterize(g)
             assert in_class == (not isinstance(ch, NotInScope)), g.to_text()
+
+    @pytest.mark.parametrize("n", range(8, 21))
+    def test_agrees_with_subgraph_check_on_larger_shapes(self, n):
+        rng = random.Random(n)
+        shapes = [(cut_vertex_cliques(rng, n), True), (matched_cliques(rng, n), True)]
+        if n % 2 == 0:
+            shapes.append((cocktail_party(n // 2), False))
+        for g, in_class in shapes:
+            assert is_3p1_diamond_free(g) == in_class, g.to_text()
+            assert (not isinstance(characterize(g), NotInScope)) == in_class, g.to_text()
 
     def test_clique_variants_have_small_diameter(self):
         for g in (bowtie(), prism(), figure2_graph(), figure3_graph(False)):

@@ -345,7 +345,7 @@ class TestSolver:
         g = parallel_pair_graph()
         sa, sb = F(3, 5), F(2, 4)
         inst = ReconfigInstance(g, PP_S, PP_T, Rule.TJ, sa, sb)
-        seq = sp_solve_tj(inst)
+        seq = sp_solve_tj(inst).sequence
         assert verify_sequence(inst, seq)
 
     def test_rejects_ts(self):
@@ -356,7 +356,7 @@ class TestSolver:
     def test_identity_shortcut(self):
         g = Graph(5, list(complete_graph(4).edges) + [(0, 4)])
         inst = ReconfigInstance(g, 1, 4, Rule.TJ, F(0), F(0))
-        assert sp_solve_tj(inst) == [F(0)]
+        assert sp_solve_tj(inst).sequence == [F(0)]
 
     def test_k4_subdivision_refused(self):
         # K4 with two edges doubled-by-subdivision: a K4 minor, one block
@@ -372,7 +372,7 @@ class TestSolver:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
         g = Graph(7, edges)
         inst = ReconfigInstance(g, 1, 5, Rule.TJ, F(0, 2), F(4, 6))
-        seq = sp_solve_tj(inst)
+        seq = sp_solve_tj(inst).sequence
         assert verify_sequence(inst, seq)
         assert any(3 in st for st in seq)
 
@@ -394,7 +394,7 @@ class TestSolver:
             if s in a | b or t in a | b:
                 continue
             inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
-            seq = sp_solve_tj(inst)
+            seq = sp_solve_tj(inst).sequence
             assert verify_sequence(inst, seq)
             assert solve_bfs(inst).reachable
             done += 1
@@ -417,7 +417,7 @@ class TestSolver:
             if s in a | b or t in a | b:
                 continue
             inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
-            seq = sp_solve_tj(inst)
+            seq = sp_solve_tj(inst).sequence
             assert verify_sequence(inst, seq)
             done += 1
 
@@ -444,6 +444,6 @@ class TestSolver:
                 continue
             a, b = rng.sample(pools[rng.randrange(len(pools))], 2)
             inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
-            seq = sp_solve_tj(inst)
+            seq = sp_solve_tj(inst).sequence
             assert verify_sequence(inst, seq)
             done += 1
