@@ -92,10 +92,14 @@ def _matched_partition(g: Graph) -> MatchedCliques | None:
         if not g.has_edge(a, b)
     ]
     comp = Graph(g.n, comp_edges)
+    comps = comp.components()
+    if len(comps) > 2:
+        # the complement of two matched cliques is K_{|Q1|,|Q2|} minus a
+        # matching, which has at most two components
+        return None
     coloring = comp.bipartition()
     if coloring is None:
         return None
-    comps = comp.components()
     comps.sort(key=min)
     left_all, _ = coloring
     for mask in range(1 << len(comps)):
@@ -131,6 +135,10 @@ def characterize(g: Graph) -> Characterization:
     edges (two cliques covering the vertices; the five-cycle meets the
     bound), so sparser graphs are refused after the linear-time
     connectivity check, before any quadratic work.
+
+    The complement of two matched cliques Q1, Q2 is K_{|Q1|,|Q2|} minus a
+    matching, which has at most two components, so at most four
+    two-colourings of the complement are tried: polynomial time overall.
     """
     if g.n < 4:
         return NotInScope("fewer than 4 vertices")

@@ -261,10 +261,6 @@ class Graph:
                             out.append(frozenset(block))
         return sorted(out, key=lambda b: sorted(b))
 
-    def subgraph_with_edges(self, edges: Iterable[Edge]) -> "Graph":
-        """Same vertex universe, restricted edge set."""
-        return Graph(self.n, edges)
-
     # -- text format --------------------------------------------------
 
     @classmethod

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .errors import InvalidInstanceError
 from .graph import Graph
@@ -86,12 +85,6 @@ class ReconfigInstance:
                 raise InvalidInstanceError(
                     f"{self.rule.value} needs equal-size endpoint states"
                 )
-
-    def with_states(self, source: Iterable[int], target: Iterable[int]) -> "ReconfigInstance":
-        return ReconfigInstance(
-            self.graph, self.s, self.t, self.rule,
-            frozenset(source), frozenset(target), self.k,
-        )
 
     def describe(self) -> str:
         bound = f"(k={self.k})" if self.rule is Rule.TAR else ""

@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .separators import State, is_separator, shrink_to_minimal
+from .separators import State, is_minimal_separator, is_separator, shrink_to_minimal
 from .sequence import certify, dedupe, jumps
 
 
@@ -63,13 +64,7 @@ class PSTree:
         return chain
 
     def is_descendant(self, eid: int, anc: int) -> bool:
-        cur = eid
-        while True:
-            if cur == anc:
-                return True
-            if cur not in self.parent:
-                return False
-            cur = self.parent[cur]
+        return anc in self.ancestors(eid)
 
     def subtree_created(self, eid: int) -> frozenset[int]:
         """Vertices created by series operations at eid or below."""
@@ -93,9 +88,16 @@ class PSTree:
             raise InputError(f"vertex {v} belongs to the two-vertex stage")
         return [e for e in self.ancestors(self.support[v]) if self.op[e][0] == "S"]
 
+    @cached_property
+    def _pair_edges(self) -> dict[frozenset[int], list[int]]:
+        """Endpoint pair -> ids of the edges joining it, ascending."""
+        index: dict[frozenset[int], list[int]] = {}
+        for e, ends in self.endpoints.items():
+            index.setdefault(frozenset(ends), []).append(e)
+        return index
+
     def edges_with_endpoints(self, u: int, v: int) -> list[int]:
-        pair = frozenset((u, v))
-        return [e for e, ends in self.endpoints.items() if frozenset(ends) == pair]
+        return list(self._pair_edges.get(frozenset((u, v)), ()))
 
     def epsilon(self, u: int, v: int) -> int:
         return sum(
@@ -103,11 +105,10 @@ class PSTree:
         )
 
     def vertices_supported_on(self, u: int, v: int) -> frozenset[int]:
-        pair = frozenset((u, v))
         return frozenset(
-            x
-            for x, e in self.support.items()
-            if frozenset(self.endpoints[e]) == pair
+            self.op[e][1]
+            for e in self.edges_with_endpoints(u, v)
+            if self.op.get(e, ("",))[0] == "S"
         )
 
     def other_endpoint(self, eid: int, v: int) -> int:
@@ -370,83 +371,77 @@ PairClassification = (
 
 
 def _lowest_incident_ancestor(tree: PSTree, eid: int, v: int) -> int | None:
-    """Deepest edge on the root path of eid (excluding eid itself only if
-    not v-incident) having v as an endpoint."""
-    found = None
-    for anc in tree.ancestors(eid):
-        if v in tree.endpoints[anc]:
-            found = anc
-    return found
+    """Deepest edge on the root path of eid (eid included) having v as an
+    endpoint."""
+    return next((e for e in reversed(tree.ancestors(eid)) if v in tree.endpoints[e]), None)
 
 
-def _classify_block(tree: PSTree, s: int, t: int) -> tuple[PairClassification, bool]:
-    """Classification plus a flag marking that the roles of s and t were
-    swapped to fit the orientation conventions."""
+def _classify_block(
+    tree: PSTree, s: int, t: int
+) -> tuple[PairClassification, bool, int | None]:
+    """Classification, a flag marking that the roles of s and t were
+    swapped to fit the orientation conventions, and the anchor edge the
+    walk toward M(s, t) works under: the lowest s-incident ancestor of
+    the support of t (Nested, RootNoEdge; roles as swapped), the LCA of
+    the two supports (Serial, Parallel), or None."""
     roots = tree.root_vertices()
-    s_in, t_in = s in roots, t in roots
-    if s_in and t_in:
-        return RootBoth(tree.vertices_supported_on(s, t)), False
-    swapped = False
-    if t_in and not s_in:
-        s, t, swapped = t, s, True
-        s_in = True
+    if s in roots and t in roots:
+        return RootBoth(tree.vertices_supported_on(s, t)), False, None
+    swapped = t in roots
+    if swapped:
+        s, t = t, s
+    s_in = s in roots
 
-    st_edges = tree.edges_with_endpoints(s, t)
-    if s_in:
-        if st_edges:
+    if tree.edges_with_endpoints(s, t):
+        v_st = tree.vertices_supported_on(s, t)
+        if s_in or s in tree.endpoints[tree.support[t]]:
             a = tree.other_endpoint(tree.support[t], s)
-            return RootEdge(a, tree.vertices_supported_on(s, t)), swapped
-        f = _lowest_incident_ancestor(tree, tree.support[t], s)
-        assert f is not None and tree.op[f][0] == "S"
-        z = tree.op[f][1]
-        a = tree.other_endpoint(f, s)
-        assert z is not None
-        return RootNoEdge(a, z), swapped
-
-    if st_edges:
-        if s in tree.endpoints[tree.support[t]]:
-            a = tree.other_endpoint(tree.support[t], s)
-            return Sequential(a, tree.vertices_supported_on(s, t)), swapped
+            return (RootEdge if s_in else Sequential)(a, v_st), swapped, None
         assert t in tree.endpoints[tree.support[s]]
         a = tree.other_endpoint(tree.support[s], t)
-        return Sequential(a, tree.vertices_supported_on(s, t)), not swapped
+        return Sequential(a, v_st), not swapped, None
 
     for outer, inner, flip in ((s, t, swapped), (t, s, not swapped)):
         f = _lowest_incident_ancestor(tree, tree.support[inner], outer)
         if f is not None:
-            assert tree.op[f][0] == "S"
-            z = tree.op[f][1]
-            a = tree.other_endpoint(f, outer)
-            assert z is not None
-            return Nested(a, z), flip
+            kind, z, _ = tree.op[f]
+            assert kind == "S" and z is not None
+            return (RootNoEdge if s_in else Nested)(tree.other_endpoint(f, outer), z), flip, f
+        assert not s_in  # a root terminal always has an incident ancestor
 
     l = tree.lca(tree.support[s], tree.support[t])
     kind, created, _ = tree.op[l]
     if kind == "P":
         a, b = tree.endpoints[l]
-        return Parallel(a, b), swapped
+        return Parallel(a, b), swapped, l
     assert created is not None
     ct = tree.child_towards(l, tree.support[t])
     a = tree.other_endpoint(ct, created)
-    return Serial(a, created), swapped
+    return Serial(a, created), swapped, l
 
 
-def classify_pair(decomp: SPDecomposition, s: int, t: int) -> PairClassification:
+def _classify(
+    decomp: SPDecomposition, s: int, t: int
+) -> tuple[PSTree | None, PairClassification, bool, int | None]:
+    """The pair's block tree (None for a pair split by a cut vertex) and
+    what :func:`_classify_block` reads off it: the classification, the
+    swap flag and the anchor edge."""
     g = decomp.graph
     g.check_vertex(s)
     g.check_vertex(t)
     if s == t or g.has_edge(s, t):
         raise InputError("expects distinct non-adjacent vertices")
     tree = decomp.tree_for(s, t)
-    if tree is None:
-        for k2 in decomp.k2_blocks:
-            if s in k2 and t in k2:
-                raise InputError("expects distinct non-adjacent vertices")
-        for w in sorted(g.cut_vertices()):
-            if w not in (s, t) and is_separator(g, s, t, {w}):
-                return CutVertexSeparated(w)
-        raise ContractViolationError("no block or cut vertex found for the pair")
-    return _classify_block(tree, s, t)[0]
+    if tree is not None:
+        return (tree, *_classify_block(tree, s, t))
+    for w in sorted(g.cut_vertices()):
+        if w not in (s, t) and is_separator(g, s, t, {w}):
+            return None, CutVertexSeparated(w), False, None
+    raise ContractViolationError("no block or cut vertex found for the pair")
+
+
+def classify_pair(decomp: SPDecomposition, s: int, t: int) -> PairClassification:
+    return _classify(decomp, s, t)[1]
 
 
 @dataclass(frozen=True)
@@ -459,27 +454,26 @@ class CanonicalSeparator:
 def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> CanonicalSeparator:
     """The canonical minimum st-separator M(s, t) read off the
     construction tree (a cut vertex for pairs split across blocks)."""
-    kind = classify_pair(decomp, s, t)
+    tree, kind, _, _ = _classify(decomp, s, t)
+    return _canonical(decomp, s, t, tree, kind)
+
+
+def _canonical(
+    decomp: SPDecomposition, s: int, t: int, tree: PSTree | None, kind: PairClassification
+) -> CanonicalSeparator:
+    """M(s, t) for a classified pair, checked to separate and to have the
+    size the classification predicts."""
+    eps = 0
     if isinstance(kind, CutVertexSeparated):
         members: State = frozenset({kind.w})
-        eps = 0
-    elif isinstance(kind, (Parallel,)):
+    elif isinstance(kind, Parallel):
         members = frozenset({kind.a, kind.b})
-        eps = 0
     elif isinstance(kind, (Serial, Nested, RootNoEdge)):
         members = frozenset({kind.a, kind.z})
-        eps = 0
-    elif isinstance(kind, RootBoth):
-        members = kind.v_st
-        tree = decomp.tree_for(s, t)
-        assert tree is not None
-        eps = tree.epsilon(s, t)
     else:
-        assert isinstance(kind, (Sequential, RootEdge))
-        members = kind.v_st | {kind.a}
-        tree = decomp.tree_for(s, t)
-        assert tree is not None
+        assert tree is not None and isinstance(kind, (RootBoth, Sequential, RootEdge))
         eps = tree.epsilon(s, t)
+        members = kind.v_st if isinstance(kind, RootBoth) else kind.v_st | {kind.a}
     if not is_separator(decomp.graph, s, t, members):
         raise ContractViolationError("canonical set fails the separator check")
     expected = eps + (1 if isinstance(kind, RootBoth) else 2)
@@ -493,7 +487,13 @@ def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> CanonicalSep
 
 
 class _Walker:
-    """Token moves over a minimal separator with per-step validation."""
+    """Token moves over a separator, recorded as a TJ walk.
+
+    A move is refused only when it is illegal (the token is absent, the
+    target is taken or is a terminal); that the new state still
+    separates is not re-checked here: ``sp_solve_tj`` checks every state
+    and step of its walk once, at its exit.  The roles of s and t are
+    interchangeable, since every check the walker makes is symmetric."""
 
     def __init__(self, g: Graph, s: int, t: int, start: State):
         self.g, self.s, self.t = g, s, t
@@ -505,13 +505,12 @@ class _Walker:
             return
         if x not in self.cur or d in self.cur or d in (self.s, self.t):
             raise ContractViolationError(f"illegal move {x}->{d}")
-        nxt = self.cur - {x} | {d}
-        if not is_separator(self.g, self.s, self.t, nxt):
-            raise ContractViolationError(f"move {x}->{d} breaks the separator")
-        self.cur = nxt
-        self.seq.append(nxt)
+        self.cur = self.cur - {x} | {d}
+        self.seq.append(self.cur)
 
     def move_any_to(self, d: int, protected: frozenset[int] = frozenset()) -> None:
+        """Jump the smallest unprotected token whose move onto d keeps a
+        separator (a choice, not a check)."""
         if d in self.cur:
             return
         for x in sorted(self.cur - protected):
@@ -522,113 +521,99 @@ class _Walker:
                 return
         raise ContractViolationError(f"no token can reach {d}")
 
+    def complete_pair(self, a: int, b: int) -> bool:
+        """If the state holds a or b, bring a token onto the other one
+        (the held one stays put); False if it holds neither."""
+        if a in self.cur:
+            self.move_any_to(b, protected=frozenset({a}))
+        elif b in self.cur:
+            self.move_any_to(a, protected=frozenset({b}))
+        else:
+            return False
+        return True
+
     def reach_from(self, v: int) -> frozenset[int]:
         return frozenset(self.g.reachable_from(v, self.cur))
 
 
-def _span_suffix(tree: PSTree, t: int, top: int) -> list[int]:
-    """Edges of the span of t that descend from (or equal) top."""
-    return [e for e in tree.espan(t) if tree.is_descendant(e, top)]
-
-
-def _span_walk(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
+def _span_walk(tree: PSTree, w: _Walker, t: int, top: int) -> None:
     """Reconfigure a separator contained in the pieces of F[0] until it
-    holds both endpoints of F[0]; F is a suffix of the span of t."""
-    cur_endpoint_idx = None
-    for i, f in enumerate(F):
-        if set(tree.endpoints[f]) & w.cur:
-            cur_endpoint_idx = i
-            break
+    holds both endpoints of F[0], where F lists the edges of the span of
+    the terminal t that descend from (or equal) top."""
+    F = [e for e in tree.espan(t) if tree.is_descendant(e, top)]
 
-    if cur_endpoint_idx is None:
-        supp_t = tree.support[t]
-        moved = False
-        # a token inside a branch hanging off the support of t moves to
-        # the branch's outer endpoint
-        if supp_t in tree.op:
-            _, _, kids = tree.op[supp_t]
-            for kid in kids:
-                inside = sorted(w.cur & tree.subtree_created(kid))
-                if inside:
-                    outer = tree.other_endpoint(kid, t)
-                    w.move(inside[0], outer)
-                    moved = True
-                    break
-        if not moved:
-            # a token forming a parallel pair with t jumps to the endpoint
-            # of the shared frame edge that t can still reach
-            pairs_f = {frozenset(tree.endpoints[f]): f for f in F}
-            for x in sorted(w.cur):
-                if x not in tree.support:
-                    continue
-                sx, st_ = tree.support[x], tree.support[t]
-                if tree.is_descendant(sx, st_) or tree.is_descendant(st_, sx):
-                    continue
-                l = tree.lca(sx, st_)
-                if tree.op[l][0] != "P":
-                    continue
-                frame = frozenset(tree.endpoints[l])
-                if frame not in pairs_f:
-                    continue
-                reach = w.reach_from(t)
-                ends = sorted(frame)
-                reachable = [v for v in ends if v in reach]
-                if len(reachable) != 1:
-                    raise ContractViolationError(
-                        "parallel-pair frame must have exactly one reachable endpoint"
-                    )
-                w.move(x, reachable[0])
-                moved = True
-                break
-        if not moved:
-            # largest-index frame edge with one endpoint cut off: a token
-            # in the sibling branch moves onto the cut endpoint
-            reach = w.reach_from(t)
-            for i in range(len(F) - 1, -1, -1):
-                x, y = tree.endpoints[F[i]]
-                if (x in reach) == (y in reach):
-                    continue
-                blocked = x if x not in reach else y
-                _, created, kids = tree.op[F[i]]
-                sibling = next(k for k in kids if blocked in tree.endpoints[k])
-                inside = sorted(w.cur & tree.subtree_created(sibling))
-                if not inside:
-                    continue
-                w.move(inside[0], blocked)
-                moved = True
-                break
-        if not moved:
-            raise ContractViolationError("span walk found no applicable move")
-        for i, f in enumerate(F):
-            if set(tree.endpoints[f]) & w.cur:
-                cur_endpoint_idx = i
-                break
-        assert cur_endpoint_idx is not None
+    def held() -> int | None:
+        return next((i for i, f in enumerate(F) if w.cur & set(tree.endpoints[f])), None)
 
-    i = cur_endpoint_idx
-    x, y = tree.endpoints[F[i]]
-    have = x if x in w.cur else y
-    other = y if have == x else x
-    w.move_any_to(other, protected=frozenset({have}))
+    i = held()
+    if i is None:
+        _enter_span(tree, w, t, F)
+        i = held()
+        assert i is not None
+    w.complete_pair(*tree.endpoints[F[i]])
     # walk outward along the span, one shared endpoint at a time
     for j in range(i - 1, -1, -1):
         inner = frozenset(tree.endpoints[F[j + 1]])
         outer_e = frozenset(tree.endpoints[F[j]])
-        (shared,) = inner & outer_e
         (d_new,) = outer_e - inner
         (d_old,) = inner - outer_e
         if d_new not in w.cur:
             w.move(d_old, d_new)
 
 
-def _do_sequential(
-    tree: PSTree, w: _Walker, s: int, t: int, v_st: frozenset[int], a: int | None
-) -> None:
+def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
+    """One move onto an endpoint of an edge of F, from a state holding
+    none of them."""
+    supp_t = tree.support[t]
+    # a token inside a branch hanging off the support of t moves to
+    # the branch's outer endpoint
+    if supp_t in tree.op:
+        for kid in tree.op[supp_t][2]:
+            inside = sorted(w.cur & tree.subtree_created(kid))
+            if inside:
+                w.move(inside[0], tree.other_endpoint(kid, t))
+                return
+    # a token forming a parallel pair with t jumps to the endpoint
+    # of the shared frame edge that t can still reach
+    frames = {frozenset(tree.endpoints[f]) for f in F}
+    for x in sorted(w.cur):
+        if x not in tree.support:
+            continue
+        sx = tree.support[x]
+        if tree.is_descendant(sx, supp_t) or tree.is_descendant(supp_t, sx):
+            continue
+        l = tree.lca(sx, supp_t)
+        if tree.op[l][0] != "P" or frozenset(tree.endpoints[l]) not in frames:
+            continue
+        reach = w.reach_from(t)
+        reachable = [v for v in sorted(tree.endpoints[l]) if v in reach]
+        if len(reachable) != 1:
+            raise ContractViolationError(
+                "parallel-pair frame must have exactly one reachable endpoint"
+            )
+        w.move(x, reachable[0])
+        return
+    # largest-index frame edge with one endpoint cut off: a token
+    # in the sibling branch moves onto the cut endpoint
+    reach = w.reach_from(t)
+    for f in reversed(F):
+        x, y = tree.endpoints[f]
+        if (x in reach) == (y in reach):
+            continue
+        blocked = x if x not in reach else y
+        sibling = next(k for k in tree.op[f][2] if blocked in tree.endpoints[k])
+        inside = sorted(w.cur & tree.subtree_created(sibling))
+        if inside:
+            w.move(inside[0], blocked)
+            return
+    raise ContractViolationError("span walk found no applicable move")
+
+
+def _do_sequential(tree: PSTree, w: _Walker, v_st: frozenset[int], a: int | None) -> None:
     for z in sorted(v_st):
         if z in w.cur:
             continue
-        e = tree.support[z]
-        inside = sorted(w.cur & tree.subtree_created(e))
+        inside = sorted(w.cur & tree.subtree_created(tree.support[z]))
         if not inside:
             raise ContractViolationError("separator misses a parallel branch")
         w.move(inside[0], z)
@@ -636,54 +621,31 @@ def _do_sequential(
         w.move_any_to(a, protected=v_st)
 
 
-def _do_nested(
-    tree: PSTree, w: _Walker, s: int, t: int, a: int, z: int, f: int
-) -> None:
-    _, _, kids = tree.op[f]
+def _do_nested(tree: PSTree, w: _Walker, a: int, z: int, f: int) -> None:
+    if w.complete_pair(a, z):
+        return
+    kids = tree.op[f][2]
     kid_z_outer = next(k for k in kids if a in tree.endpoints[k])  # the z-a side
     kid_z_s = next(k for k in kids if k != kid_z_outer)  # the s-z side
-    F = _span_suffix(tree, t, kid_z_outer)
-    if {a, z} <= w.cur:
-        return
-    if a in w.cur:
-        w.move_any_to(z, protected=frozenset({a}))
-        return
-    if z in w.cur:
-        w.move_any_to(a, protected=frozenset({z}))
-        return
-    reach = w.reach_from(t)
+    reach = w.reach_from(w.t)
     if a not in reach and z not in reach:
-        _span_walk(tree, w, t, F)
+        _span_walk(tree, w, w.t, kid_z_outer)
         return
-    if z in reach:
-        inside = sorted(w.cur & tree.subtree_created(kid_z_s))
-        if not inside:
-            raise ContractViolationError("reachable hub without a guarding token")
-        w.move(inside[0], z)
-    else:
-        inside = sorted(w.cur & tree.subtree_created(kid_z_outer))
-        if not inside:
-            raise ContractViolationError("no token on the inner branch")
-        w.move(inside[0], z)
+    # a reachable hub is guarded from the s side, otherwise from inside
+    inside = sorted(w.cur & tree.subtree_created(kid_z_s if z in reach else kid_z_outer))
+    if not inside:
+        raise ContractViolationError("no token on the branch next to the hub")
+    w.move(inside[0], z)
     w.move_any_to(a, protected=frozenset({z}))
 
 
-def _do_serial(tree: PSTree, w: _Walker, s: int, t: int, a: int, z: int, l: int) -> None:
-    ct = tree.child_towards(l, tree.support[t])
-    cs = tree.child_towards(l, tree.support[s])
-    b = tree.other_endpoint(l, a)
-    F = _span_suffix(tree, t, ct)
-    if {a, z} <= w.cur:
+def _do_serial(tree: PSTree, w: _Walker, a: int, z: int, l: int) -> None:
+    if w.complete_pair(a, z):
         return
-    if a in w.cur:
-        w.move_any_to(z, protected=frozenset({a}))
-        return
-    if z in w.cur:
-        w.move_any_to(a, protected=frozenset({z}))
-        return
-    reach = w.reach_from(t)
+    ct = tree.child_towards(l, tree.support[w.t])
+    reach = w.reach_from(w.t)
     if a not in reach and z not in reach:
-        _span_walk(tree, w, t, F)
+        _span_walk(tree, w, w.t, ct)
         return
     if (a in reach) != (z in reach):
         blocked = a if a not in reach else z
@@ -691,49 +653,37 @@ def _do_serial(tree: PSTree, w: _Walker, s: int, t: int, a: int, z: int, l: int)
         if not inside:
             raise ContractViolationError("frame endpoint cut without a branch token")
         w.move(inside[0], blocked)
-        _span_walk(tree, w, t, F)
+        _span_walk(tree, w, w.t, ct)
         return
     # both frame endpoints reachable from t: the separator cuts s off on
     # the far branch (frame z-b); walk the span of s there, then shift
     # the token on b over to a
-    Fs = _span_suffix(tree, s, cs)
-    ws = _Walker(w.g, t, s, w.cur)  # roles swapped for the walk
-    _span_walk(tree, ws, s, Fs)
-    w.seq.extend(ws.seq[1:])
-    w.cur = ws.cur
+    b = tree.other_endpoint(l, a)
+    _span_walk(tree, w, w.s, tree.child_towards(l, tree.support[w.s]))
     assert {z, b} <= w.cur
     w.move(b, a)
 
 
-def _do_parallel(tree: PSTree, w: _Walker, s: int, t: int, a: int, b: int, l: int) -> None:
-    ct = tree.child_towards(l, tree.support[t])
-    cs = tree.child_towards(l, tree.support[s])
-    if {a, b} <= w.cur:
+def _do_parallel(tree: PSTree, w: _Walker, a: int, b: int, l: int) -> None:
+    if w.complete_pair(a, b):
         return
-    if a in w.cur:
-        w.move_any_to(b, protected=frozenset({a}))
-        return
-    if b in w.cur:
-        w.move_any_to(a, protected=frozenset({b}))
-        return
+    ct = tree.child_towards(l, tree.support[w.t])
+    cs = tree.child_towards(l, tree.support[w.s])
     a_t = w.cur & tree.subtree_created(ct)
     a_s = w.cur & tree.subtree_created(cs)
     if w.cur == a_t:
-        _span_walk(tree, w, t, _span_suffix(tree, t, ct))
+        _span_walk(tree, w, w.t, ct)
         return
     if w.cur == a_s:
-        ws = _Walker(w.g, t, s, w.cur)
-        _span_walk(tree, ws, s, _span_suffix(tree, s, cs))
-        w.seq.extend(ws.seq[1:])
-        w.cur = ws.cur
+        _span_walk(tree, w, w.s, cs)
         return
     if not a_s or not a_t:
         raise ContractViolationError("parallel pair with a one-sided separator")
-    reach_s = w.g.reachable_from(s, w.cur)
-    first = a if a not in reach_s else b
+    # neither a nor b is held: a token of the s side takes the one that
+    # s cannot reach, then another token takes the other
+    first = a if a not in w.reach_from(w.s) else b
     second = b if first == a else a
-    if first not in w.cur:
-        w.move(sorted(a_s)[0], first)
+    w.move(sorted(a_s)[0], first)
     w.move_any_to(second, protected=frozenset({first}))
 
 
@@ -741,48 +691,34 @@ def reconfigure_to_canonical(
     decomp: SPDecomposition, s: int, t: int, a_sep: State
 ) -> ReconfigSequence:
     """TJ sequence carrying a minimal st-separator to a separator that
-    contains the canonical set M(s, t); every move is re-validated."""
-    g = decomp.graph
-    from .separators import is_minimal_separator
+    contains the canonical set M(s, t).
 
+    The input (a minimal separator) and the end state (contains M(s, t))
+    are checked here; the states in between are checked by
+    ``sp_solve_tj``'s one certificate check, not move by move."""
+    g = decomp.graph
     if not is_minimal_separator(g, s, t, a_sep):
         raise InputError("expects a minimal separator; shrink the input first")
-    canon = canonical_separator(decomp, s, t)
-    kind = canon.classification
+    tree, kind, swapped, anchor = _classify(decomp, s, t)
+    canon = _canonical(decomp, s, t, tree, kind).members
+    if swapped:
+        s, t = t, s
     w = _Walker(g, s, t, a_sep)
-    if canon.members <= w.cur:
+    if canon <= w.cur:
         return w.seq
 
     if isinstance(kind, CutVertexSeparated):
         w.move_any_to(kind.w)
-        return w.seq
-
-    tree = decomp.tree_for(s, t)
-    assert tree is not None
-    kind_b, swapped = _classify_block(tree, s, t)
-    ss, tt = (t, s) if swapped else (s, t)
-    if swapped:
-        w = _Walker(g, ss, tt, a_sep)  # separator checks are symmetric
-
-    if isinstance(kind_b, (RootBoth,)):
-        _do_sequential(tree, w, ss, tt, kind_b.v_st, None)
-    elif isinstance(kind_b, RootEdge):
-        _do_sequential(tree, w, ss, tt, kind_b.v_st, kind_b.a)
-    elif isinstance(kind_b, Sequential):
-        _do_sequential(tree, w, ss, tt, kind_b.v_st, kind_b.a)
-    elif isinstance(kind_b, (Nested, RootNoEdge)):
-        f = _lowest_incident_ancestor(tree, tree.support[tt], ss)
-        assert f is not None
-        _do_nested(tree, w, ss, tt, kind_b.a, kind_b.z, f)
-    elif isinstance(kind_b, Serial):
-        l = tree.lca(tree.support[ss], tree.support[tt])
-        _do_serial(tree, w, ss, tt, kind_b.a, kind_b.z, l)
+    elif isinstance(kind, (RootBoth, RootEdge, Sequential)):
+        _do_sequential(tree, w, kind.v_st, None if isinstance(kind, RootBoth) else kind.a)
+    elif isinstance(kind, (Nested, RootNoEdge)):
+        _do_nested(tree, w, kind.a, kind.z, anchor)
+    elif isinstance(kind, Serial):
+        _do_serial(tree, w, kind.a, kind.z, anchor)
     else:
-        assert isinstance(kind_b, Parallel)
-        l = tree.lca(tree.support[ss], tree.support[tt])
-        _do_parallel(tree, w, ss, tt, kind_b.a, kind_b.b, l)
+        _do_parallel(tree, w, kind.a, kind.b, anchor)
 
-    if not canon.members <= w.cur:
+    if not canon <= w.cur:
         raise ContractViolationError("canonicalization did not reach M(s,t)")
     return w.seq
 
@@ -830,28 +766,17 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     if a == b:
         return Solution(True, certify(instance, [a]))
     decomp = recognize_and_decompose(g)
-    tree = decomp.tree_for(s, t)
-
-    if tree is None:
+    if decomp.tree_for(s, t) is None:
         # different blocks: any state holding a separating cut vertex is
         # a separator, so one token anchors it while the rest jump freely
         kind = classify_pair(decomp, s, t)
         assert isinstance(kind, CutVertexSeparated)
-        wv = kind.w
-        seq = [a]
-        cur = a
-        if wv not in cur:
-            x = sorted(cur)[0]
-            cur = cur - {x} | {wv}
-            seq.append(cur)
-        goal = b
-        tail: ReconfigSequence = []
-        if wv not in goal:
-            x = sorted(goal)[0]
-            mid = goal - {x} | {wv}
-            tail = [goal]
-            goal = mid
-        seq += jumps(cur, goal) + tail
+
+        def anchor(x: State) -> State:
+            """x, or x with its smallest token swapped for the cut vertex."""
+            return x if kind.w in x else x - {min(x)} | {kind.w}
+
+        seq = [a] + jumps(anchor(a), anchor(b)) + [b]
     else:
         a_core = shrink_to_minimal(g, s, t, a)
         b_core = shrink_to_minimal(g, s, t, b)

@@ -46,6 +46,11 @@ def normalize_tar_sequence(
     Repeatedly picks the first state of minimum size below k, with
     predecessor-difference {a} and successor-difference {b}, and replaces
     it by its union with {a,b}; backtracking steps (a == b) are excised.
+
+    The input is checked; the output is not re-checked, since each rewrite
+    keeps a valid (k+1)-TAR walk: the union still separates, has at most
+    k+1 members and differs by one vertex from both neighbours, and an
+    excised detour joins two states one step apart.
     """
     _check_tar_sequence(g, s, t, seq, k + 1)
     if len(seq[0]) != k or len(seq[-1]) != k:
@@ -72,7 +77,6 @@ def normalize_tar_sequence(
     want = [k if i % 2 == 0 else k + 1 for i in range(len(seq))]
     if sizes != want:
         raise ContractViolationError("alternation unreachable for this sequence")
-    _check_tar_sequence(g, s, t, seq, k + 1)
     return seq
 
 

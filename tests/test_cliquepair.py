@@ -154,6 +154,12 @@ class TestCharacterize:
             assert is_3p1_diamond_free(g) == in_class, g.to_text()
             assert (not isinstance(characterize(g), NotInScope)) == in_class, g.to_text()
 
+    @pytest.mark.parametrize("m", [12, 16, 20])
+    def test_large_cocktail_parties_refused(self, m):
+        # the complement is a perfect matching: m components, while two
+        # matched cliques have a complement of at most two
+        assert isinstance(characterize(cocktail_party(m)), NotInScope)
+
     def test_clique_variants_have_small_diameter(self):
         for g in (bowtie(), prism(), figure2_graph(), figure3_graph(False)):
             assert g.diameter() <= 3

@@ -376,6 +376,20 @@ class TestSolver:
         assert verify_sequence(inst, seq)
         assert any(3 in st for st in seq)
 
+    def test_cut_vertex_branch_sequences(self):
+        # an endpoint without the cut vertex 3 first swaps its smallest
+        # token for it; the remaining tokens then jump in ascending order
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+        g = Graph(7, edges)
+        cases = [
+            (F(0, 2), F(4, 6), [F(0, 2), F(2, 3), F(3, 6), F(4, 6)]),
+            (F(0, 3), F(4, 6), [F(0, 3), F(3, 6), F(4, 6)]),
+            (F(0, 3), F(3, 6), [F(0, 3), F(3, 6)]),
+            (F(0, 2), F(3, 4), [F(0, 2), F(2, 3), F(3, 4)]),
+        ]
+        for a, b, want in cases:
+            assert sp_solve_tj(ReconfigInstance(g, 1, 5, Rule.TJ, a, b)).sequence == want
+
     def test_matches_oracle_small_random(self):
         rng = random.Random(41)
         done = 0

@@ -55,6 +55,33 @@ class TestNormalize:
         with pytest.raises(ContractViolationError):
             normalize_tar_sequence(g, 0, 1, [F(2, 3), F(2, 4)], 2)
 
+    def test_oracle_walks_normalize_to_valid_walks(self):
+        # shortest (k+1)-TAR walks between size-k separators, stitched
+        # through a third separator of any size up to k+1 (which adds
+        # dips below k and backtracks), normalize to walks the oracle
+        # accepts on the (k+1)-TAR instance
+        rng = random.Random(53)
+        done = 0
+        while done < 40:
+            g = random_connected_graph(rng, rng.randint(4, 7))
+            pairs = list(nonadjacent_pairs(g))
+            if not pairs:
+                continue
+            s, t = pairs[rng.randrange(len(pairs))]
+            seps = list(brute_force_separators(g, s, t))
+            k = rng.choice(sorted({len(x) for x in seps}))
+            a, b = (rng.choice([x for x in seps if len(x) == k]) for _ in range(2))
+            c = rng.choice([x for x in seps if len(x) <= k + 1])
+            legs = [solve_bfs(ReconfigInstance(g, s, t, Rule.TAR, x, y, k + 1))
+                    for x, y in ((a, c), (c, b))]
+            if not all(leg.reachable for leg in legs):
+                continue
+            seq = legs[0].sequence + legs[1].sequence[1:]
+            out = normalize_tar_sequence(g, s, t, seq, k)
+            assert verify_sequence(ReconfigInstance(g, s, t, Rule.TAR, a, b, k + 1), out)
+            assert [len(st) for st in out] == [k + i % 2 for i in range(len(out))]
+            done += 1
+
     def test_rejects_small_endpoint(self):
         g = star_fixture()
         with pytest.raises(ContractViolationError):
