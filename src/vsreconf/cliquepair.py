@@ -18,7 +18,7 @@ from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import solve_bfs
-from .separators import State
+from .separators import State, pad_state
 from .sequence import certify, dedupe, jumps
 from .tar_tj import (
     is_trivially_negative_tar,
@@ -190,22 +190,10 @@ def _canonical_matched_state(
 ) -> State:
     """One token per matching edge (the q1 endpoint unless it is a
     terminal), padded with the smallest free non-terminal ids."""
-    chosen = set()
-    for x, y in sorted(ch.matching):
-        if x == s or x == t:
-            chosen.add(y)
-        elif y == s or y == t:
-            chosen.add(x)
-        else:
-            chosen.add(x)
+    chosen = {y if x in (s, t) else x for x, y in ch.matching}
     if len(chosen) > k:
         raise ContractViolationError("fewer tokens than matching edges")
-    for v in g.vertices():
-        if len(chosen) == k:
-            break
-        if v not in chosen and v not in (s, t):
-            chosen.add(v)
-    return frozenset(chosen)
+    return pad_state(g, s, t, chosen, k)
 
 
 def _matched_to_canonical(

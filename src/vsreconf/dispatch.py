@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import replace
 
-from .cliquepair import NotInScope, characterize, solve_tar_tj_3p1d, solve_ts_3p1d
+from .cliquepair import solve_tar_tj_3p1d, solve_ts_3p1d
 from .errors import InputError, NotApplicableError
 from .instance import ReconfigInstance, Rule, Solution
 from .minsep import tame_solve
 from .oracle import solve_bfs
 from .seriesparallel import sp_solve_tj
-from .tar_tj import normalize_tar_sequence, tar_to_tj_sequence
+from .tar_tj import _normalize, _subsample
 
 ENGINES = ("auto", "oracle", "tame", "class", "sp")
 
@@ -25,11 +25,9 @@ def solve(instance: ReconfigInstance, engine: str = "auto") -> Solution:
     """YES/NO plus, for YES, a checked certificate; ``engine`` of the
     result names the engine that answered."""
     if engine == "auto":
-        if not isinstance(characterize(instance.graph), NotInScope):
-            return solve(instance, "class")
-        if instance.rule is Rule.TJ:
+        for route in ("class", "sp") if instance.rule is Rule.TJ else ("class",):
             try:
-                return solve(instance, "sp")
+                return solve(instance, route)
             except NotApplicableError:
                 pass
         return solve(instance, "oracle" if instance.rule is Rule.TS else "tame")
@@ -43,11 +41,11 @@ def solve(instance: ReconfigInstance, engine: str = "auto") -> Solution:
         res = tame_solve(instance)
         seq = res.sequence
         if instance.rule is Rule.TJ and seq is not None and len(seq) > 1:
-            # the tame certificate is a TAR(k+1) walk; fold it back (the
-            # conversion checks every state and step of what it returns)
-            g, s, t = instance.graph, instance.s, instance.t
+            # the tame certificate is a TAR(k+1) walk, checked by tame_solve;
+            # fold it back (each rewrite keeps a valid walk, so the folded
+            # walk is not checked again)
             k = len(instance.source)
-            seq = tar_to_tj_sequence(g, s, t, normalize_tar_sequence(g, s, t, seq, k), k)
+            seq = _subsample(_normalize(seq, k), k)
             res = replace(res, sequence=seq)
     else:
         raise InputError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")

@@ -170,63 +170,34 @@ class Graph:
         return left, set(range(self.n)) - left
 
     def cut_vertices(self) -> set[int]:
-        """Articulation points (Hopcroft-Tarjan, iterative)."""
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
-        cuts: set[int] = set()
-        timer = 0
-        for root in range(self.n):
-            if root in disc:
-                continue
-            stack: list[tuple[int, int | None, Iterator[int]]] = [
-                (root, None, iter(self._adj[root]))
-            ]
-            disc[root] = low[root] = timer
-            timer += 1
-            root_children = 0
-            while stack:
-                v, parent, it = stack[-1]
-                advanced = False
-                for w in it:
-                    if w == parent:
-                        continue
-                    if w in disc:
-                        low[v] = min(low[v], disc[w])
-                    else:
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        if v == root:
-                            root_children += 1
-                        stack.append((w, v, iter(self._adj[w])))
-                        advanced = True
-                        break
-                if not advanced:
-                    stack.pop()
-                    if stack:
-                        pv = stack[-1][0]
-                        low[pv] = min(low[pv], low[v])
-                        if pv != root and low[v] >= disc[pv]:
-                            cuts.add(pv)
-            if root_children >= 2:
-                cuts.add(root)
-        return cuts
+        """Articulation points."""
+        return self._biconnected()[1]
 
     def blocks(self) -> list[frozenset[Edge]]:
         """Biconnected components as edge sets (bridges come out as
         single-edge blocks).  Ordered by smallest edge."""
+        return sorted(self._biconnected()[0], key=lambda b: sorted(b))
+
+    def _biconnected(self) -> tuple[list[frozenset[Edge]], set[int]]:
+        """Blocks and articulation points in one iterative
+        Hopcroft-Tarjan lowpoint DFS: a block closes at the parent of v
+        when low[v] >= disc[parent], and that parent is a cut vertex
+        unless it is a DFS root, which is one with two or more children."""
         disc: dict[int, int] = {}
         low: dict[int, int] = {}
         timer = 0
         estack: list[Edge] = []
         out: list[frozenset[Edge]] = []
+        cuts: set[int] = set()
 
         for root in range(self.n):
             if root in disc:
                 continue
             disc[root] = low[root] = timer
             timer += 1
+            root_children = 0
             stack: list[tuple[int, int | None, Iterator[int]]] = [
-                (root, None, iter(sorted(self._adj[root])))
+                (root, None, iter(self._adj[root]))
             ]
             while stack:
                 v, parent, it = stack[-1]
@@ -242,7 +213,7 @@ class Graph:
                         estack.append(_norm_edge(v, w))
                         disc[w] = low[w] = timer
                         timer += 1
-                        stack.append((w, v, iter(sorted(self._adj[w]))))
+                        stack.append((w, v, iter(self._adj[w])))
                         advanced = True
                         break
                 if not advanced:
@@ -251,6 +222,10 @@ class Graph:
                         pv = stack[-1][0]
                         low[pv] = min(low[pv], low[v])
                         if low[v] >= disc[pv]:
+                            if pv == root:
+                                root_children += 1
+                            else:
+                                cuts.add(pv)
                             block = []
                             e = _norm_edge(pv, v)
                             while estack:
@@ -259,7 +234,9 @@ class Graph:
                                 if f == e:
                                     break
                             out.append(frozenset(block))
-        return sorted(out, key=lambda b: sorted(b))
+            if root_children >= 2:
+                cuts.add(root)
+        return out, cuts
 
     # -- text format --------------------------------------------------
 

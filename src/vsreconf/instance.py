@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInstanceError
 from .graph import Graph
-from .separators import State, check_state, is_separator
+from .separators import State, check_state, is_separator  # noqa: F401 (traced by bench/)
 
 ReconfigSequence = list[State]
 
@@ -59,19 +59,17 @@ class ReconfigInstance:
     k: int | None = field(default=None)
 
     def __post_init__(self):
-        g = self.graph
-        if self.s == self.t:
+        g, s, t = self.graph, self.s, self.t
+        if s == t:
             raise InvalidInstanceError("terminals must be distinct")
-        g.check_vertex(self.s)
-        g.check_vertex(self.t)
-        if g.has_edge(self.s, self.t):
+        if g.has_edge(s, t):  # also checks that s and t are vertices
             raise InvalidInstanceError(
                 "terminals are adjacent: no separator exists"
             )
-        object.__setattr__(self, "source", check_state(g, self.s, self.t, self.source))
-        object.__setattr__(self, "target", check_state(g, self.s, self.t, self.target))
+        object.__setattr__(self, "source", check_state(g, s, t, self.source))
+        object.__setattr__(self, "target", check_state(g, s, t, self.target))
         for name, st in (("source", self.source), ("target", self.target)):
-            if not is_separator(g, self.s, self.t, st):
+            if t in g.reachable_from(s, st):
                 raise InvalidInstanceError(f"{name} state is not an st-separator")
         if self.rule is Rule.TAR:
             if self.k is None or self.k < 1:

@@ -8,7 +8,7 @@ encodings for hashing/printing are the sorted tuples produced by
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable
 
 from .errors import ContractViolationError, InputError
@@ -53,9 +53,9 @@ def is_minimal_separator(g: Graph, s: int, t: int, sep: Iterable[int]) -> bool:
     """A separator is minimal iff dropping any single vertex breaks it;
     for separators this coincides with proper-subset minimality."""
     sep = check_state(g, s, t, sep)
-    if not is_separator(g, s, t, sep):
+    if t in g.reachable_from(s, sep):
         return False
-    return all(not is_separator(g, s, t, sep - {v}) for v in sep)
+    return all(t in g.reachable_from(s, sep - {v}) for v in sep)
 
 
 def shrink_to_minimal(g: Graph, s: int, t: int, sep: Iterable[int]) -> State:
@@ -68,10 +68,18 @@ def shrink_to_minimal(g: Graph, s: int, t: int, sep: Iterable[int]) -> State:
     as ``reconfigure_to_canonical``, check their input themselves.
     """
     sep = check_state(g, s, t, sep)
-    if not is_separator(g, s, t, sep):
+    if t in g.reachable_from(s, sep):
         raise ContractViolationError("shrink_to_minimal requires a separator")
     s1 = g.neighborhood(g.reachable_from(s, sep))
     return g.neighborhood(g.reachable_from(t, s1))
+
+
+def pad_state(g: Graph, s: int, t: int, sep: Iterable[int], k: int) -> State:
+    """``sep`` filled up to k tokens with the smallest free non-terminal
+    ids (callers make sure it has at most k)."""
+    sep = frozenset(sep)
+    free = (v for v in g.vertices() if v not in sep and v not in (s, t))
+    return sep | frozenset(islice(free, k - len(sep)))
 
 
 # -- brute-force oracles (used as ground truth in tests and by the

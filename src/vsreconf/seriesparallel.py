@@ -476,7 +476,7 @@ def _canonical(
         members = kind.v_st if isinstance(kind, RootBoth) else kind.v_st | {kind.a}
     if not is_separator(decomp.graph, s, t, members):
         raise ContractViolationError("canonical set fails the separator check")
-    expected = eps + (1 if isinstance(kind, RootBoth) else 2)
+    expected = eps + (1 if isinstance(kind, (RootBoth, CutVertexSeparated)) else 2)
     if len(members) != expected:
         raise ContractViolationError("canonical separator has unexpected size")
     return CanonicalSeparator(members, kind, eps)
@@ -520,6 +520,15 @@ class _Walker:
                 self.seq.append(nxt)
                 return
         raise ContractViolationError(f"no token can reach {d}")
+
+    def jump_from(self, region: frozenset[int], d: int) -> bool:
+        """Jump the smallest token inside ``region`` onto d; False if the
+        region holds no token."""
+        inside = self.cur & region
+        if not inside:
+            return False
+        self.move(min(inside), d)
+        return True
 
     def complete_pair(self, a: int, b: int) -> bool:
         """If the state holds a or b, bring a token onto the other one
@@ -569,9 +578,7 @@ def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
     # the branch's outer endpoint
     if supp_t in tree.op:
         for kid in tree.op[supp_t][2]:
-            inside = sorted(w.cur & tree.subtree_created(kid))
-            if inside:
-                w.move(inside[0], tree.other_endpoint(kid, t))
+            if w.jump_from(tree.subtree_created(kid), tree.other_endpoint(kid, t)):
                 return
     # a token forming a parallel pair with t jumps to the endpoint
     # of the shared frame edge that t can still reach
@@ -602,9 +609,7 @@ def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
             continue
         blocked = x if x not in reach else y
         sibling = next(k for k in tree.op[f][2] if blocked in tree.endpoints[k])
-        inside = sorted(w.cur & tree.subtree_created(sibling))
-        if inside:
-            w.move(inside[0], blocked)
+        if w.jump_from(tree.subtree_created(sibling), blocked):
             return
     raise ContractViolationError("span walk found no applicable move")
 
@@ -613,10 +618,8 @@ def _do_sequential(tree: PSTree, w: _Walker, v_st: frozenset[int], a: int | None
     for z in sorted(v_st):
         if z in w.cur:
             continue
-        inside = sorted(w.cur & tree.subtree_created(tree.support[z]))
-        if not inside:
+        if not w.jump_from(tree.subtree_created(tree.support[z]), z):
             raise ContractViolationError("separator misses a parallel branch")
-        w.move(inside[0], z)
     if a is not None:
         w.move_any_to(a, protected=v_st)
 
@@ -632,10 +635,8 @@ def _do_nested(tree: PSTree, w: _Walker, a: int, z: int, f: int) -> None:
         _span_walk(tree, w, w.t, kid_z_outer)
         return
     # a reachable hub is guarded from the s side, otherwise from inside
-    inside = sorted(w.cur & tree.subtree_created(kid_z_s if z in reach else kid_z_outer))
-    if not inside:
+    if not w.jump_from(tree.subtree_created(kid_z_s if z in reach else kid_z_outer), z):
         raise ContractViolationError("no token on the branch next to the hub")
-    w.move(inside[0], z)
     w.move_any_to(a, protected=frozenset({z}))
 
 
@@ -649,10 +650,8 @@ def _do_serial(tree: PSTree, w: _Walker, a: int, z: int, l: int) -> None:
         return
     if (a in reach) != (z in reach):
         blocked = a if a not in reach else z
-        inside = sorted(w.cur & tree.subtree_created(ct))
-        if not inside:
+        if not w.jump_from(tree.subtree_created(ct), blocked):
             raise ContractViolationError("frame endpoint cut without a branch token")
-        w.move(inside[0], blocked)
         _span_walk(tree, w, w.t, ct)
         return
     # both frame endpoints reachable from t: the separator cuts s off on
@@ -683,7 +682,7 @@ def _do_parallel(tree: PSTree, w: _Walker, a: int, b: int, l: int) -> None:
     # s cannot reach, then another token takes the other
     first = a if a not in w.reach_from(w.s) else b
     second = b if first == a else a
-    w.move(sorted(a_s)[0], first)
+    w.jump_from(a_s, first)
     w.move_any_to(second, protected=frozenset({first}))
 
 

@@ -12,29 +12,27 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvalidInstanceError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule, states_adjacent
-from .separators import (
-    State,
-    check_state,
-    is_minimal_separator,
-    is_separator,
-    shrink_to_minimal,
-)
-from .sequence import tar_steps
+from .instance import ReconfigInstance, ReconfigSequence, Rule
+from .separators import State, check_state, is_minimal_separator, pad_state, shrink_to_minimal
+from .sequence import certify, tar_steps
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
+    """Raise ContractViolationError unless ``seq`` is a TAR(k) walk."""
     if not seq:
         raise ContractViolationError("empty sequence")
-    for st in seq:
+    for st in seq:  # bad ids and terminals in a state are input errors
         check_state(g, s, t, st)
-        if not is_separator(g, s, t, st):
-            raise ContractViolationError("sequence state is not a separator")
-        if len(st) > k:
-            raise ContractViolationError(f"state exceeds TAR bound {k}")
-    for i in range(len(seq) - 1):
-        if not states_adjacent(Rule.TAR, seq[i], seq[i + 1], g, k):
-            raise ContractViolationError(f"states {i},{i + 1} not TAR-adjacent")
+    try:
+        walk = ReconfigInstance(g, s, t, Rule.TAR, seq[0], seq[-1], k)
+    except InvalidInstanceError as exc:
+        raise ContractViolationError(str(exc)) from exc
+    certify(walk, seq)
+
+
+def _alternates(seq: ReconfigSequence, k: int) -> bool:
+    """Sizes run k, k+1, k, ... along the walk."""
+    return all(len(st) == k + i % 2 for i, st in enumerate(seq))
 
 
 def normalize_tar_sequence(
@@ -53,6 +51,11 @@ def normalize_tar_sequence(
     excised detour joins two states one step apart.
     """
     _check_tar_sequence(g, s, t, seq, k + 1)
+    return _normalize(seq, k)
+
+
+def _normalize(seq: ReconfigSequence, k: int) -> ReconfigSequence:
+    """:func:`normalize_tar_sequence` of a walk already checked."""
     if len(seq[0]) != k or len(seq[-1]) != k:
         raise ContractViolationError("endpoint states must have size k")
 
@@ -73,9 +76,7 @@ def normalize_tar_sequence(
             continue
         seq[j] = seq[j] | {a, b}
 
-    sizes = [len(st) for st in seq]
-    want = [k if i % 2 == 0 else k + 1 for i in range(len(seq))]
-    if sizes != want:
+    if not _alternates(seq, k):
         raise ContractViolationError("alternation unreachable for this sequence")
     return seq
 
@@ -103,9 +104,12 @@ def tar_to_tj_sequence(
     """Inverse of :func:`tj_to_tar_sequence`: keep the odd positions of a
     normalized alternating TAR sequence."""
     _check_tar_sequence(g, s, t, seq, k + 1)
-    sizes = [len(st) for st in seq]
-    want = [k if i % 2 == 0 else k + 1 for i in range(len(seq))]
-    if sizes != want:
+    return _subsample(seq, k)
+
+
+def _subsample(seq: ReconfigSequence, k: int) -> ReconfigSequence:
+    """:func:`tar_to_tj_sequence` of a walk already checked."""
+    if not _alternates(seq, k):
         raise ContractViolationError(
             "input is not normalized (sizes must alternate k, k+1, ...)"
         )
@@ -179,13 +183,7 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
                 "endpoint shrinks to a minimal separator of size k;"
                 " no size-(k-1) primed state exists"
             )
-        padded = set(core)
-        for v in g.vertices():
-            if len(padded) == k - 1:
-                break
-            if v not in padded and v not in (s, t):
-                padded.add(v)
-        goal = frozenset(padded)
+        goal = pad_state(g, s, t, core, k - 1)
         return goal, tar_steps(st, core) + tar_steps(core, goal)[1:]
 
     sa, bridge_a = primed(instance.source)

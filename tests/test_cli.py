@@ -1,6 +1,10 @@
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
-from vsreconf.cli import format_instance, load_instance, main
+from vsreconf.cli import build_parser, format_instance, load_instance, main
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import Rule
 
@@ -334,3 +338,12 @@ class TestInstanceFiles:
         )
         code, out, err = run(capsys, "solve", str(p))
         assert code == 2 and out == "" and "error: bad" in err
+
+
+def test_readme_cli_table_lists_every_subcommand():
+    # the first word of each row of the README's subcommand table
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("## Command-line interface", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)", section, flags=re.M)
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert sorted(rows) == sorted(sub.choices)

@@ -63,6 +63,32 @@ class TestGraphBasics:
             path_graph(3).neighborhood({-1})
 
 
+class TestBiconnectivity:
+    def test_cut_vertices_and_blocks_on_random_graphs(self):
+        # v is a cut vertex iff G - v has more components than G; an
+        # isolated v leaves one fewer, so it never counts
+        rng = random.Random(11)
+        seen_disconnected = seen_isolated = 0
+        for _ in range(2000):
+            n = rng.randint(1, 14)
+            p = rng.choice([0.1, 0.2, 0.35, 0.6])
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            base = len(g.components())
+            want = {v for v in g.vertices() if len(g.components({v})) > base}
+            assert g.cut_vertices() == want, g.to_text()
+            blocks = g.blocks()
+            assert sum(len(b) for b in blocks) == len(g.edges)
+            assert frozenset().union(*blocks) == g.edges
+            assert blocks == sorted(blocks, key=sorted)
+            # blocks meet only at cut vertices
+            spans = [{v for e in b for v in e} for b in blocks]
+            shared = {v for v in g.vertices() if sum(v in sp for sp in spans) >= 2}
+            assert shared == want
+            seen_disconnected += base > 1
+            seen_isolated += any(g.degree(v) == 0 for v in g.vertices())
+        assert seen_disconnected > 500 and seen_isolated > 500
+
+
 class TestDiameter:
     def test_k3(self):
         assert complete_graph(3).diameter() == 1

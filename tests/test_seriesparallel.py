@@ -390,6 +390,17 @@ class TestSolver:
         for a, b, want in cases:
             assert sp_solve_tj(ReconfigInstance(g, 1, 5, Rule.TJ, a, b)).sequence == want
 
+    def test_canonical_across_a_cut_vertex(self):
+        # M(s, t) of a pair split by a cut vertex is that one vertex
+        edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
+        d = recognize_and_decompose(Graph(7, edges))
+        canon = canonical_separator(d, 1, 5)
+        assert canon.members == F(3)
+        assert canon.classification == CutVertexSeparated(3)
+        assert reconfigure_to_canonical(d, 1, 5, F(0, 2)) == [F(0, 2), F(2, 3)]
+        assert reconfigure_to_canonical(d, 1, 5, F(4, 6)) == [F(4, 6), F(3, 6)]
+        assert reconfigure_to_canonical(d, 1, 5, F(3)) == [F(3)]
+
     def test_matches_oracle_small_random(self):
         rng = random.Random(41)
         done = 0

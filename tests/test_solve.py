@@ -1,9 +1,11 @@
 import itertools
 import random
+import sys
 
 import pytest
 
 from vsreconf import Solution, solve
+from vsreconf.cliquepair import characterize
 from vsreconf.errors import InputError
 from vsreconf.graph import Graph, cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
@@ -55,6 +57,31 @@ class TestRoutes:
     def test_distance_reads_the_sequence(self):
         assert Solution(True, [F(1), F(2), F(3)]).distance == 2
         assert Solution(False).distance is None
+
+
+@pytest.mark.parametrize(
+    "g, t, rule, source, target, k, engine",
+    [
+        (bowtie(), 4, Rule.TJ, F(2), F(2), None, "class"),
+        (prism(), 4, Rule.TAR, F(1, 2, 3), F(1, 3, 5), 3, "class"),
+        (cycle_graph(6), 3, Rule.TJ, F(1, 5), F(2, 4), None, "sp"),
+    ],
+    ids=["cut-vertex", "matched", "series-parallel"],
+)
+def test_auto_characterizes_once(monkeypatch, g, t, rule, source, target, k, engine):
+    # every module that holds the class test is patched, whatever its import
+    calls = []
+
+    def counted(graph):
+        calls.append(graph)
+        return characterize(graph)
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("vsreconf") and getattr(mod, "characterize", None) is characterize:
+            monkeypatch.setattr(mod, "characterize", counted)
+    res = solve(ReconfigInstance(g, 0, t, rule, source, target, k))
+    assert res.engine == engine
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from vsreconf.errors import ContractViolationError, InvalidInstanceError
+from vsreconf.errors import ContractViolationError, InputError, InvalidInstanceError
 from vsreconf.graph import cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
@@ -54,6 +54,18 @@ class TestNormalize:
         g = star_fixture()
         with pytest.raises(ContractViolationError):
             normalize_tar_sequence(g, 0, 1, [F(2, 3), F(2, 4)], 2)
+
+    def test_rejects_non_separator_first_state(self):
+        # the endpoint check goes through instance construction; its
+        # InvalidInstanceError reaches the caller as a contract violation
+        g = star_fixture()
+        with pytest.raises(ContractViolationError, match="separator"):
+            normalize_tar_sequence(g, 0, 1, [F(3, 4), F(2, 3, 4), F(2, 4)], 2)
+
+    def test_terminal_inside_the_walk_is_an_input_error(self):
+        g = star_fixture()
+        with pytest.raises(InputError):
+            normalize_tar_sequence(g, 0, 1, [F(2, 3), F(1, 2, 3), F(2, 3)], 2)
 
     def test_oracle_walks_normalize_to_valid_walks(self):
         # shortest (k+1)-TAR walks between size-k separators, stitched
