@@ -20,11 +20,7 @@ from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import solve_bfs
 from .separators import State, pad_state
 from .sequence import certify, dedupe, jumps
-from .tar_tj import (
-    is_trivially_negative_tar,
-    tar_to_tj_instance,
-    tj_to_tar_sequence,
-)
+from .tar_tj import _tar_to_tj, is_trivially_negative_tar, tj_to_tar_sequence
 
 
 def is_3p1_diamond_free(g: Graph) -> bool:
@@ -84,82 +80,83 @@ def _c5_order(g: Graph) -> tuple[int, ...] | None:
     return tuple(order)
 
 
-def _matched_partition(g: Graph) -> MatchedCliques | None:
-    comp_edges = [
-        (a, b)
-        for a in range(g.n)
-        for b in range(a + 1, g.n)
-        if not g.has_edge(a, b)
-    ]
-    comp = Graph(g.n, comp_edges)
-    comps = comp.components()
-    if len(comps) > 2:
-        # the complement of two matched cliques is K_{|Q1|,|Q2|} minus a
-        # matching, which has at most two components
-        return None
-    coloring = comp.bipartition()
-    if coloring is None:
-        return None
-    comps.sort(key=min)
-    left_all, _ = coloring
-    for mask in range(1 << len(comps)):
-        q1: set[int] = set()
-        for i, c in enumerate(comps):
-            side = c & left_all if not mask >> i & 1 else c - left_all
-            q1 |= side
-        q2 = set(g.vertices()) - q1
-        if not q1 or not q2 or 0 not in q1:
+def _complement_sides(g: Graph) -> list[tuple[set[int], set[int]]]:
+    """The complement's components, in order of their smallest vertex,
+    each split into its two colour classes (the one holding that vertex
+    first), from one pass over the complement's neighbour sets V - N[v].
+    Empty if the complement has an odd cycle or more than two components,
+    which no two-clique shape's complement has."""
+    everyone = frozenset(g.vertices())
+    colour: dict[int, int] = {}
+    comps: list[tuple[set[int], set[int]]] = []
+    for root in g.vertices():
+        if root in colour:
             continue
-        cross = [
-            tuple(sorted((x, y), key=lambda v: v not in q1))
-            for x, y in g.edges
-            if ((x in q1) ^ (y in q1))
-        ]
-        ends = [v for e in cross for v in e]
-        if len(ends) != len(set(ends)):
-            continue
-        return MatchedCliques(
-            frozenset(q1), frozenset(q2), frozenset((a, b) for a, b in cross)
-        )
-    return None
+        if len(comps) == 2:
+            return []
+        colour[root] = 0
+        comps.append(({root}, set()))
+        queue = [root]
+        for x in queue:
+            c = colour[x]
+            for y in everyone - g.neighbors(x) - {x}:
+                if y not in colour:
+                    colour[y] = 1 - c
+                    comps[-1][1 - c].add(y)
+                    queue.append(y)
+                elif colour[y] == c:
+                    return []
+    return comps
 
 
 def characterize(g: Graph) -> Characterization:
     """Match the graph against the three in-scope shapes.
 
-    Deterministic: cut-vertex variant first, then matched cliques (first
-    valid complement two-coloring with vertex 0 in the first clique),
-    then the five-cycle.
+    Deterministic: cut-vertex variant first, then matched cliques (vertex
+    0 in the first clique, which joins its colour class first to the
+    class holding the other complement component's smallest vertex, then
+    to the other class), then the five-cycle.
 
     Every in-scope shape has at least C(floor(n/2), 2) + C(ceil(n/2), 2)
     edges (two cliques covering the vertices; the five-cycle meets the
     bound), so sparser graphs are refused after the linear-time
     connectivity check, before any quadratic work.
 
-    The complement of two matched cliques Q1, Q2 is K_{|Q1|,|Q2|} minus a
-    matching, which has at most two components, so at most four
-    two-colourings of the complement are tried: polynomial time overall.
+    The two-clique shapes are read off one pass over the complement's
+    neighbour sets with one 2-colouring: the complement of two cliques
+    sharing a cut vertex w is w isolated plus a complete bipartite graph,
+    and that of two matched cliques Q1, Q2 is K_{|Q1|,|Q2|} minus a
+    matching, with at most two components.  A complement with an odd
+    cycle leaves only the five-cycle.  O(n) set differences of size n.
     """
-    if g.n < 4:
+    n, m = g.n, len(g.edges)
+    if n < 4:
         return NotInScope("fewer than 4 vertices")
     if not g.is_connected():
         return NotInScope("disconnected")
-    if g.is_clique(g.vertices()):
+    if m == n * (n - 1) // 2:
         return NotInScope("complete graph")
-    half = g.n // 2
-    if len(g.edges) < half * (half - 1) // 2 + (g.n - half) * (g.n - half - 1) // 2:
+    half = n // 2
+    if m < half * (half - 1) // 2 + (n - half) * (n - half - 1) // 2:
         return _OUT_OF_CLASS
-    cuts = g.cut_vertices()
-    if len(cuts) == 1:
-        (w,) = cuts
-        comps = g.components({w})
-        if len(comps) == 2:
-            q1, q2 = (frozenset(c) | {w} for c in sorted(comps, key=min))
-            if g.is_clique(q1) and g.is_clique(q2):
-                return CutVertexCliques(q1, q2, w)
-    matched = _matched_partition(g)
-    if matched is not None:
-        return matched
+    comps = _complement_sides(g)
+    isolated = [left for left, right in comps if not right]
+    if len(comps) == 2 and len(isolated) == 1:
+        # w is isolated, and the rest must be complete bipartite between
+        # the two cliques' other vertices
+        ((w,),) = isolated
+        a, b = next(c for c in comps if c[1])
+        if len(a) * len(b) == n * (n - 1) // 2 - m:
+            return CutVertexCliques(frozenset(a | {w}), frozenset(b | {w}), w)
+    choices = [left for left, _ in comps[:1]]  # vertex 0's colour class
+    if len(comps) == 2:
+        choices = [choices[0] | side for side in comps[1]]
+    for q1 in choices:
+        q2 = set(g.vertices()) - q1
+        cross = [(x, y) for x in q1 for y in g.neighbors(x) & q2]
+        ends = [v for e in cross for v in e]
+        if q2 and len(ends) == len(set(ends)):
+            return MatchedCliques(frozenset(q1), frozenset(q2), frozenset(cross))
     order = _c5_order(g)
     if order is not None:
         return SpecialC5(order)
@@ -260,7 +257,7 @@ def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
                                instance.source, instance.target, g.n - 1)
     if is_trivially_negative_tar(tar):
         return Solution(False)
-    conv = tar_to_tj_instance(tar)
+    conv = _tar_to_tj(tar)
     mid = tj_to_tar_sequence(_tj_walk(conv.tj_instance, ch))
     seq = conv.source_bridge + mid + conv.target_bridge[::-1]
     return Solution(True, certify(instance, dedupe(seq)))

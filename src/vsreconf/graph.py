@@ -3,6 +3,10 @@
 All algorithm modules share this representation: vertices are 0..n-1,
 edges are unordered pairs, no loops or multi-edges.  Instances are
 immutable after construction, so they can be shared freely.
+
+Queries (``neighbors``, ``has_edge``, ``neighborhood``, ``reachable_from``)
+trust their vertex ids.  Ids are checked where they enter: in the
+constructor, ``separators.check_state``, ``ReconfigInstance`` and the CLI.
 """
 
 from __future__ import annotations
@@ -52,21 +56,16 @@ class Graph:
         return v
 
     def neighbors(self, v: int) -> frozenset[int]:
-        self.check_vertex(v)
         return self._adj[v]
 
     def degree(self, v: int) -> int:
         return len(self.neighbors(v))
 
     def has_edge(self, a: int, b: int) -> bool:
-        self.check_vertex(a)
-        self.check_vertex(b)
         return b in self._adj[a]
 
     def neighborhood(self, vs: set[int] | frozenset[int]) -> frozenset[int]:
         """Vertices outside ``vs`` adjacent to some member of it."""
-        if vs and not (0 <= min(vs) and max(vs) < self.n):
-            raise InputError(f"vertex set {sorted(vs)} leaves [0,{self.n})")
         return frozenset().union(*(self._adj[v] for v in vs)) - vs
 
     def vertices(self) -> range:
@@ -88,10 +87,8 @@ class Graph:
     # -- traversal ----------------------------------------------------
 
     def reachable_from(self, start: int, removed: frozenset[int] | set[int] = frozenset()) -> set[int]:
-        """Vertices reachable from `start` in the graph minus `removed`."""
-        self.check_vertex(start)
-        if start in removed:
-            raise InputError(f"start vertex {start} is in the removed set")
+        """Vertices reachable from `start` (not in `removed`) in the graph
+        minus `removed`."""
         seen = {start}
         queue = deque([start])
         while queue:
@@ -148,26 +145,6 @@ class Graph:
     def is_clique(self, vs: Iterable[int]) -> bool:
         vs = list(vs)
         return all(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
-
-    def bipartition(self) -> tuple[set[int], set[int]] | None:
-        """A 2-coloring (per component, the side holding the smallest
-        vertex goes left), or None if the graph is odd-cycle-bearing."""
-        color: dict[int, int] = {}
-        for v in range(self.n):
-            if v in color:
-                continue
-            color[v] = 0
-            queue = deque([v])
-            while queue:
-                x = queue.popleft()
-                for y in self._adj[x]:
-                    if y not in color:
-                        color[y] = 1 - color[x]
-                        queue.append(y)
-                    elif color[y] == color[x]:
-                        return None
-        left = {v for v, c in color.items() if c == 0}
-        return left, set(range(self.n)) - left
 
     def cut_vertices(self) -> set[int]:
         """Articulation points."""

@@ -62,7 +62,9 @@ class ReconfigInstance:
         g, s, t = self.graph, self.s, self.t
         if s == t:
             raise InvalidInstanceError("terminals must be distinct")
-        if g.has_edge(s, t):  # also checks that s and t are vertices
+        g.check_vertex(s)
+        g.check_vertex(t)
+        if g.has_edge(s, t):
             raise InvalidInstanceError(
                 "terminals are adjacent: no separator exists"
             )

@@ -16,7 +16,7 @@ from functools import cached_property
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
 from .instance import ReconfigInstance, Rule, Solution
-from .separators import State, canon, shrink_to_minimal
+from .separators import State, canon, check_state, shrink_to_minimal
 from .sequence import certify, dedupe, tar_steps
 from .tar_tj import is_trivially_negative_tar, tj_to_tar_instance
 
@@ -55,6 +55,7 @@ def enumerate_minimal_separators(
     """
     if not g.is_connected():
         raise InputError("enumeration expects a connected graph")
+    check_state(g, s, t, ())
     if g.has_edge(s, t):
         raise InputError("adjacent terminals admit no separator")
 

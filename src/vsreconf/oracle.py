@@ -30,7 +30,9 @@ class VerifyResult:
 
 
 def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
-    """All separator states adjacent to `st` under the instance rule."""
+    """All separator states adjacent to `st` under the instance rule.
+    They are built from the instance's checked ids, so their separation
+    is tested directly, without :func:`is_separator`'s id checks."""
     g, s, t = instance.graph, instance.s, instance.t
     forbidden = {s, t}
     out: set[State] = set()
@@ -40,7 +42,7 @@ def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
         assert k is not None
         for x in st:
             smaller = st - {x}
-            if is_separator(g, s, t, smaller):
+            if t not in g.reachable_from(s, smaller):
                 out.add(smaller)
         if len(st) + 1 <= k:
             for y in g.vertices():
@@ -54,7 +56,7 @@ def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
             if y in st or y in forbidden:
                 continue
             cand = (st - {x}) | {y}
-            if is_separator(g, s, t, cand):
+            if t not in g.reachable_from(s, cand):
                 out.add(cand)
     return out
 
@@ -122,7 +124,7 @@ def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_
     for r in sizes:
         for combo in combinations(pool, r):
             cand = frozenset(combo)
-            if is_separator(g, s, t, cand):
+            if t not in g.reachable_from(s, cand):
                 states.append(cand)
                 if len(states) > state_cap:
                     raise ResourceLimitError(f"state cap {state_cap} exceeded")

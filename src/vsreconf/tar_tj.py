@@ -167,6 +167,12 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
             "trivially negative TAR instance (see is_trivially_negative_tar);"
             " the answer is NO and no equivalent TJ instance exists"
         )
+    return _tar_to_tj(instance)
+
+
+def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
+    """:func:`tar_to_tj_instance` of a TAR instance already found not
+    trivially negative."""
     g, s, t, k = instance.graph, instance.s, instance.t, instance.k
     assert k is not None
     if k - 1 > g.n - 2:

@@ -327,6 +327,20 @@ class TestInstanceFiles:
         code, _, err = run(capsys, "solve", str(p))
         assert code == 2 and "cannot read" in err
 
+    @pytest.mark.parametrize("bad", ["instance", "graph", "sequence"])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, bad):
+        paths = {k: tmp_path / f"c4.{k}" for k in ("instance", "graph", "sequence")}
+        paths["instance"].write_text(
+            "graph c4.graph\ns 0\nt 2\nrule TJ\nsource 1 3\ntarget 1 3\n"
+        )
+        paths["graph"].write_text(cycle_graph(4).to_text())
+        paths["sequence"].write_text("1 3\n")
+        paths[bad].write_bytes(b"\xff\xfe bad")
+        code, out, err = run(
+            capsys, "oracle", str(paths["instance"]), "--verify", str(paths["sequence"])
+        )
+        assert code == 2 and out == "" and err.startswith("error: cannot read")
+
     @pytest.mark.parametrize("field, value", [("s", "0 1"), ("t", "2 4"), ("k", "2 9")])
     def test_scalar_field_takes_one_token_exit_2(self, capsys, tmp_path, field, value):
         lines = {"s": "0", "t": "2", "k": "2"}

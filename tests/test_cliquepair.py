@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -82,6 +83,30 @@ def cocktail_party(m):
     return Graph(2 * m, [(a, b) for a, b in itertools.combinations(range(2 * m), 2) if a // 2 != b // 2])
 
 
+def larger_shapes(n):
+    """Seeded class members on n vertices, plus a cocktail party for even
+    n, each with whether it lies in the class."""
+    rng = random.Random(n)
+    shapes = [(cut_vertex_cliques(rng, n), True), (matched_cliques(rng, n), True)]
+    if n % 2 == 0:
+        shapes.append((cocktail_party(n // 2), False))
+    return shapes
+
+
+PINNED = "49cd6e9af46e61a5237ddf9688753af45533c5a86d4785cf499b4ae228accf7f"
+
+
+def render(ch):
+    """Every field of a characterization, in one line."""
+    if isinstance(ch, CutVertexCliques):
+        return f"cut-vertex {sorted(ch.q1)} {sorted(ch.q2)} {ch.w}"
+    if isinstance(ch, MatchedCliques):
+        return f"matched {sorted(ch.q1)} {sorted(ch.q2)} {sorted(ch.matching)}"
+    if isinstance(ch, SpecialC5):
+        return f"five-cycle {list(ch.order)}"
+    return f"not-in-scope {ch.reason}"
+
+
 class TestForbiddenSubgraphs:
     def test_bowtie_in_class(self):
         assert is_3p1_diamond_free(bowtie())
@@ -146,13 +171,18 @@ class TestCharacterize:
 
     @pytest.mark.parametrize("n", range(8, 21))
     def test_agrees_with_subgraph_check_on_larger_shapes(self, n):
-        rng = random.Random(n)
-        shapes = [(cut_vertex_cliques(rng, n), True), (matched_cliques(rng, n), True)]
-        if n % 2 == 0:
-            shapes.append((cocktail_party(n // 2), False))
-        for g, in_class in shapes:
+        for g, in_class in larger_shapes(n):
             assert is_3p1_diamond_free(g) == in_class, g.to_text()
             assert (not isinstance(characterize(g), NotInScope)) == in_class, g.to_text()
+
+    def test_exact_results_pinned(self):
+        # `recognize` prints these results, so the tie-breaks (which clique
+        # is q1, where the five-cycle starts) and the reasons are pinned too
+        graphs = [g for n in (4, 5, 6) for g in all_labeled_connected_graphs(n)]
+        graphs += [g for n in range(8, 21) for g, _ in larger_shapes(n)]
+        text = "\n".join(render(characterize(g)) for g in graphs)
+        assert len(graphs) == 27_503
+        assert hashlib.sha256(text.encode()).hexdigest() == PINNED
 
     @pytest.mark.parametrize("m", [12, 16, 20])
     def test_large_cocktail_parties_refused(self, m):

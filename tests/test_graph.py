@@ -3,8 +3,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vsreconf.cli import main as cli_main
 from vsreconf.errors import ContractViolationError, InputError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
+from vsreconf.instance import ReconfigInstance, Rule
+from vsreconf.minsep import enumerate_minimal_separators
 from vsreconf.separators import (
     brute_force_minimal_separators,
     is_minimal_separator,
@@ -58,9 +61,34 @@ class TestGraphBasics:
         assert g.neighborhood({1, 2}) == {0, 3}
         assert g.neighborhood(set()) == frozenset()
 
-    def test_neighborhood_rejects_bad_vertex(self):
-        with pytest.raises(InputError):
-            path_graph(3).neighborhood({-1})
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_bad_ids_refused_where_they_enter(self, bad, tmp_path, capsys):
+        # graph queries trust their ids: these entry points check them
+        g = cycle_graph(4)
+        calls = [
+            lambda: is_separator(g, 0, 2, {1, bad}),
+            lambda: is_separator(g, bad, 2, {1, 3}),
+            lambda: ReconfigInstance(g, bad, 2, Rule.TJ, {1, 3}, {1, 3}),
+            lambda: ReconfigInstance(g, 0, bad, Rule.TJ, {1, 3}, {1, 3}),
+            lambda: ReconfigInstance(g, 0, 2, Rule.TJ, {1, bad}, {1, 3}),
+            lambda: ReconfigInstance(g, 0, 2, Rule.TJ, {1, 3}, {1, bad}),
+            lambda: enumerate_minimal_separators(g, bad, 2),
+            lambda: enumerate_minimal_separators(g, 0, bad),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=f"vertex id {bad} outside"):
+                call()
+
+        graph = tmp_path / "c4.graph"
+        graph.write_text(g.to_text())
+        inst = tmp_path / "c4.inst"
+        inst.write_text("graph c4.graph\ns 0\nt 2\nrule TJ\nsource 1 3\ntarget 1 3\n")
+        seq = tmp_path / "c4.seq"
+        seq.write_text("1 3\n3 9\n1 3\n")
+        assert cli_main(["separators", str(graph), str(bad), "2"]) == 2
+        assert f"vertex id {bad} outside" in capsys.readouterr().err
+        assert cli_main(["oracle", str(inst), "--verify", str(seq)]) == 2
+        assert "vertex id 9 outside" in capsys.readouterr().err
 
 
 class TestBiconnectivity:
