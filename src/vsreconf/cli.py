@@ -23,14 +23,15 @@ by one ``a b`` line per edge (``#`` comments allowed).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
 from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, vsr_to_isr
 from .cliquepair import CutVertexCliques, MatchedCliques, SpecialC5, characterize
 from .dispatch import ENGINES, solve
-from .errors import InputError, InvalidInstanceError, NotApplicableError, ResourceLimitError
-from .graph import Graph
+from .errors import InputError, NotApplicableError, ResourceLimitError
+from .graph import MAX_VERTICES, Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .minsep import enumerate_minimal_separators
 from .oracle import export_reconfig_graph, solve_bfs, verify_sequence
@@ -70,6 +71,8 @@ def _parse_graph_value(tokens: list[str], base: Path) -> Graph:
         return Graph.from_text(_read(str(base / tokens[0])))
     try:
         n = int(tokens[0])
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         edges = []
         for tok in tokens[1:]:
             a, _, b = tok.partition("-")
@@ -309,6 +312,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
 # wiring
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     p = _Parser(prog="vsreconf", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -374,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
         print("UNKNOWN(resource)")
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3
-    except (InputError, InvalidInstanceError, NotApplicableError) as exc:
+    except (InputError, NotApplicableError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

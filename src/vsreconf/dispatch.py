@@ -16,7 +16,6 @@ from .instance import ReconfigInstance, Rule, Solution
 from .minsep import tame_solve
 from .oracle import solve_bfs
 from .seriesparallel import sp_solve_tj
-from .tar_tj import _normalize, _subsample
 
 ENGINES = ("auto", "oracle", "tame", "class", "sp")
 
@@ -39,14 +38,6 @@ def solve(instance: ReconfigInstance, engine: str = "auto") -> Solution:
         res = sp_solve_tj(instance)
     elif engine == "tame":
         res = tame_solve(instance)
-        seq = res.sequence
-        if instance.rule is Rule.TJ and seq is not None and len(seq) > 1:
-            # the tame certificate is a TAR(k+1) walk, checked by tame_solve;
-            # fold it back (each rewrite keeps a valid walk, so the folded
-            # walk is not checked again)
-            k = len(instance.source)
-            seq = _subsample(_normalize(seq, k), k)
-            res = replace(res, sequence=seq)
     else:
         raise InputError(f"unknown engine {engine!r}; expected one of {', '.join(ENGINES)}")
     return replace(res, engine=engine)

@@ -18,6 +18,9 @@ from .errors import InputError
 
 Edge = tuple[int, int]
 
+# largest vertex count accepted from text, checked before allocating for it
+MAX_VERTICES = 100_000
+
 
 def _norm_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
@@ -236,6 +239,8 @@ class Graph:
             n, m = int(head[0]), int(head[1])
         except ValueError as exc:
             raise InputError(f"bad header {lines[0]!r}") from exc
+        if n > MAX_VERTICES:
+            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
         if len(lines) - 1 != m:
             raise InputError(f"header promises {m} edges, found {len(lines) - 1}")
         edges = []

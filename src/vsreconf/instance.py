@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInstanceError
 from .graph import Graph
-from .separators import State, check_state, is_separator  # noqa: F401 (traced by bench/)
+from .separators import State, check_state, is_separator  # noqa: F401 (read by bench/test_bench.py)
 
 ReconfigSequence = list[State]
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from vsreconf.cli import build_parser, format_instance, load_instance, main
-from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
+from vsreconf.graph import MAX_VERTICES, Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import Rule
 
 from fixtures import FIG1_S, FIG1_SA, FIG1_SB, FIG1_T, figure1_graph
@@ -321,6 +321,17 @@ class TestInstanceFiles:
         code, out, err = run(capsys, "solve", str(p))
         assert code == 2 and out == "" and "duplicate field 'rule'" in err
 
+    @pytest.mark.parametrize("graph", ["inline", "file"])
+    def test_vertex_count_over_limit_exit_2(self, capsys, tmp_path, graph):
+        n = MAX_VERTICES + 1
+        (tmp_path / "big.graph").write_text(f"{n} 1\n0 1\n")
+        value = f"{n} 0-1 1-2" if graph == "inline" else "big.graph"
+        p = tmp_path / "big.inst"
+        p.write_text(f"graph {value}\ns 0\nt 2\nrule TJ\nsource 1\ntarget 1\n")
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == ""
+        assert f"vertex count {n} exceeds the limit of {MAX_VERTICES}" in err
+
     def test_unreadable_graph_exit_2(self, capsys, tmp_path):
         p = tmp_path / "ref.inst"
         p.write_text("graph nope.graph\ns 0\nt 1\nrule TJ\nsource 2\ntarget 2\n")
@@ -361,3 +372,11 @@ def test_readme_cli_table_lists_every_subcommand():
     rows = re.findall(r"^\| `([a-z-]+)", section, flags=re.M)
     (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert sorted(rows) == sorted(sub.choices)
+
+
+def test_parser_is_built_once(capsys, tmp_path):
+    assert build_parser() is build_parser()
+    # a usage error leaves the shared parser fit for the next call
+    assert run(capsys, "solve")[0] == 1
+    code, out, _ = run(capsys, "solve", fig1_instance(tmp_path, "TS"))
+    assert code == 0 and out.splitlines()[0] == "NO"

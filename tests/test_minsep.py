@@ -5,14 +5,13 @@ import pytest
 from vsreconf.errors import InputError, ResourceLimitError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
-from vsreconf.minsep import (
-    build_overlap_graph,
-    enumerate_minimal_separators,
-    tame_solve,
-)
+from vsreconf.minsep import enumerate_minimal_separators, tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import brute_force_minimal_separators, brute_force_separators
-from vsreconf.tar_tj import tj_to_tar_instance
+from vsreconf.separators import (
+    brute_force_minimal_separators,
+    brute_force_separators,
+    is_minimal_separator,
+)
 
 from fixtures import (
     all_labeled_connected_graphs,
@@ -69,18 +68,27 @@ class TestEnumeration:
                 fam = enumerate_minimal_separators(g, s, t)
                 assert fam.members == brute_force_minimal_separators(g, s, t)
 
+    def test_matches_brute_force_random_n8_n9(self):
+        rng = random.Random(23)
+        for n in (8, 9):
+            for _ in range(40):
+                g = random_connected_graph(rng, n, rng.uniform(0.2, 0.7))
+                for s, t in nonadjacent_pairs(g):
+                    fam = enumerate_minimal_separators(g, s, t)
+                    assert fam.members == brute_force_minimal_separators(g, s, t), (
+                        g.to_text(),
+                        s,
+                        t,
+                    )
 
-class TestOverlapGraph:
-    def test_c5_tight_bound_has_no_edges(self):
-        fam = enumerate_minimal_separators(cycle_graph(5), 0, 2)
-        og = build_overlap_graph(fam, 2)
-        assert og.edges == frozenset()
-
-    def test_c5_slack_bound_connects(self):
-        fam = enumerate_minimal_separators(cycle_graph(5), 0, 2)
-        og = build_overlap_graph(fam, 3)
-        assert og.edges == {(F(1, 3), F(1, 4))}
-        assert og.neighbors(F(1, 3)) == [F(1, 4)]
+    @pytest.mark.parametrize("n", [4, 5, 9, 16, 25, 40])
+    def test_cycle_opposite_terminals(self, n):
+        """C_n, s = 0, t = n//2: one vertex from each of the two s-t arcs."""
+        g, t = cycle_graph(n), n // 2
+        fam = enumerate_minimal_separators(g, 0, t)
+        assert len(fam.members) == (t - 1) * (n - t - 1)
+        for sep in fam.members:
+            assert is_minimal_separator(g, 0, t, sep)
 
 
 class TestTameSolve:
@@ -104,11 +112,12 @@ class TestTameSolve:
         assert res.reachable
         assert verify_sequence(inst, res.sequence)
 
-    def test_tj_certificate_is_tar_bumped(self):
+    def test_tj_certificate_is_tj_walk(self):
         inst = ReconfigInstance(cycle_graph(5), 0, 2, Rule.TJ, F(1, 3), F(1, 4))
         res = tame_solve(inst)
         assert res.reachable
-        assert verify_sequence(tj_to_tar_instance(inst), res.sequence)
+        assert res.sequence == [F(1, 3), F(1, 4)]
+        assert verify_sequence(inst, res.sequence)
 
     def test_matches_oracle_random(self):
         rng = random.Random(71)
@@ -170,8 +179,7 @@ class TestTameMatchesOracle:
                     g.to_text(), s, t, sorted(a), sorted(b), inst.k,
                 )
                 if res.reachable:
-                    checked = tj_to_tar_instance(inst) if rule is Rule.TJ else inst
-                    assert verify_sequence(checked, res.sequence)
+                    assert verify_sequence(inst, res.sequence)
                     yes += 1
                 else:
                     no += 1
