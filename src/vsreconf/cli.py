@@ -34,7 +34,7 @@ from .errors import InputError, NotApplicableError, ResourceLimitError
 from .graph import MAX_VERTICES, Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .minsep import enumerate_minimal_separators
-from .oracle import export_reconfig_graph, solve_bfs, verify_sequence
+from .oracle import DEFAULT_STATE_CAP, export_reconfig_graph, solve_bfs, verify_sequence
 from .seriesparallel import recognize_and_decompose
 from .tar_tj import tar_to_tj_instance, tj_to_tar_instance
 
@@ -44,6 +44,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"usage error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_oracle.add_argument("instance")
     sp_oracle.add_argument("--sequence", action="store_true")
     sp_oracle.add_argument("--verify", metavar="SEQFILE")
-    sp_oracle.add_argument("--state-cap", type=int, default=5_000_000)
+    sp_oracle.add_argument("--state-cap", type=_positive_int, default=DEFAULT_STATE_CAP)
     sp_oracle.set_defaults(func=_cmd_oracle)
 
     sp_seps = sub.add_parser("separators", help="enumerate minimal separators")
@@ -360,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp_dot = sub.add_parser("export-dot", help="reconfiguration graph as DOT")
     sp_dot.add_argument("instance")
     sp_dot.add_argument("-o", "--output")
-    sp_dot.add_argument("--state-cap", type=int, default=100_000)
+    sp_dot.add_argument("--state-cap", type=_positive_int, default=100_000)
     sp_dot.set_defaults(func=_cmd_export_dot)
 
     return p

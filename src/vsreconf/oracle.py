@@ -3,6 +3,12 @@
 Explicit BFS over the reconfiguration graph for all three rules, exact
 shortest distances, sequence verification, and DOT export.  Every
 constructive solver in the library is validated against this module.
+
+One move generator, :func:`_moves`, lists the rule-adjacent candidates
+of a state for the search, :func:`rule_neighbors` and the export.  The
+search tests a candidate for separation only while it is unreached, so
+the parent and siblings of a dequeued state cost a hash lookup, not a
+BFS of the graph.
 """
 
 from __future__ import annotations
@@ -10,6 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
+from typing import Iterator
 
 from .errors import ResourceLimitError
 from .graph import Graph
@@ -29,47 +36,63 @@ class VerifyResult:
         return self.ok
 
 
-def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
-    """All separator states adjacent to `st` under the instance rule.
-    They are built from the instance's checked ids, so their separation
-    is tested directly, without :func:`is_separator`'s id checks."""
+def _moves(instance: ReconfigInstance, st: State) -> Iterator[tuple[State, bool]]:
+    """Each state rule-adjacent to `st` with no terminal in it, paired
+    with whether it still needs a separation test.  TAR additions need
+    none when `st` separates, because a superset of a separator
+    separates.  Each candidate is yielded once."""
     g, s, t = instance.graph, instance.s, instance.t
     forbidden = {s, t}
-    out: set[State] = set()
 
     if instance.rule is Rule.TAR:
         k = instance.k
         assert k is not None
         for x in st:
-            smaller = st - {x}
-            if t not in g.reachable_from(s, smaller):
-                out.add(smaller)
-        if len(st) + 1 <= k:
+            yield st - {x}, True
+        if len(st) < k:
             for y in g.vertices():
                 if y not in st and y not in forbidden:
-                    out.add(st | {y})  # supersets of separators separate
-        return out
+                    yield st | {y}, False
+        return
 
     for x in st:
         dests = g.neighbors(x) if instance.rule is Rule.TS else g.vertices()
         for y in dests:
-            if y in st or y in forbidden:
-                continue
-            cand = (st - {x}) | {y}
-            if t not in g.reachable_from(s, cand):
-                out.add(cand)
-    return out
+            if y not in st and y not in forbidden:
+                yield (st - {x}) | {y}, True
+
+
+def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
+    """All separator states adjacent to the separator `st` under the
+    instance rule.  They are built from the instance's checked ids, so
+    their separation is tested directly, without :func:`is_separator`'s
+    id checks."""
+    g, s, t = instance.graph, instance.s, instance.t
+    return {
+        cand
+        for cand, needs_test in _moves(instance, st)
+        if not needs_test or t not in g.reachable_from(s, cand)
+    }
 
 
 def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> Solution:
-    """Shortest-path BFS in the implicit reconfiguration graph."""
+    """Shortest-path BFS in the implicit reconfiguration graph.
+
+    The candidates of a dequeued state that are still unreached are
+    tested for separation in :func:`canon` order, and each one that
+    separates is reached from it.  A dequeued state yields O(k n)
+    candidates (O(k Δ) under TS), each built and looked up in O(k), and
+    costs one O(n + m) separation test per candidate still unreached.
+    The state cap counts reached states."""
+    g, s, t = instance.graph, instance.s, instance.t
     source, target = instance.source, instance.target
     parent: dict[State, State | None] = {source: None}
     queue = deque([source])
     while queue and target not in parent:
         cur = queue.popleft()
-        for nxt in sorted(rule_neighbors(instance, cur), key=canon):
-            if nxt in parent:
+        fresh = [m for m in _moves(instance, cur) if m[0] not in parent]
+        for nxt, needs_test in sorted(fresh, key=lambda m: canon(m[0])):
+            if needs_test and t in g.reachable_from(s, nxt):
                 continue
             if len(parent) >= state_cap:
                 raise ResourceLimitError(
@@ -151,11 +174,20 @@ class ReconfigGraph:
 
 
 def export_reconfig_graph(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> ReconfigGraph:
-    """Materialize the full reconfiguration graph for small instances."""
+    """Materialize the full reconfiguration graph for small instances.
+
+    Edges come from :func:`_moves` of each state, each candidate looked
+    up among the enumerated states instead of tested again.  The cost is
+    the enumeration (one O(n + m) test per subset within the size
+    bounds) plus O(k n) candidates per state, not a test of every state
+    pair.  Edges are listed by index of their first end, then of their
+    second."""
     states = enumerate_states(instance, state_cap)
+    index = {st: i for i, st in enumerate(states)}
     edges = []
     for i, a in enumerate(states):
-        for b in states[i + 1:]:
-            if states_adjacent(instance.rule, a, b, instance.graph, instance.k):
-                edges.append((a, b))
+        later = sorted(
+            j for j in (index.get(b, -1) for b, _ in _moves(instance, a)) if j > i
+        )
+        edges.extend((a, states[j]) for j in later)
     return ReconfigGraph(states, edges, instance.rule, instance.k)

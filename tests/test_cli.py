@@ -7,6 +7,7 @@ import pytest
 from vsreconf.cli import build_parser, format_instance, load_instance, main
 from vsreconf.graph import MAX_VERTICES, Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import Rule
+from vsreconf.oracle import DEFAULT_STATE_CAP
 
 from fixtures import FIG1_S, FIG1_SA, FIG1_SB, FIG1_T, figure1_graph
 
@@ -124,6 +125,18 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", inst, "--state-cap", "1")
         assert code == 3
         assert out.splitlines()[0] == "UNKNOWN(resource)"
+
+    def test_default_state_cap_is_the_library_default(self):
+        args = build_parser().parse_args(["oracle", "x.inst"])
+        assert args.state_cap == DEFAULT_STATE_CAP
+
+    @pytest.mark.parametrize("command", ["oracle", "export-dot"])
+    @pytest.mark.parametrize("cap", ["0", "-1", "ten"])
+    def test_state_cap_not_positive_exit_1(self, capsys, tmp_path, command, cap):
+        inst = fig1_instance(tmp_path, "TJ")
+        code, out, err = run(capsys, command, inst, "--state-cap", cap)
+        assert code == 1 and out == ""
+        assert "usage error" in err and "positive integer" in err
 
     def test_verify_rejects_gap(self, capsys, tmp_path):
         inst = fig1_instance(tmp_path, "TJ")

@@ -1,16 +1,21 @@
 import random
+from collections import deque
 
 import pytest
 
 from vsreconf.errors import ResourceLimitError
 from vsreconf.graph import cycle_graph
-from vsreconf.instance import ReconfigInstance, Rule
+from vsreconf.instance import ReconfigInstance, Rule, Solution, states_adjacent
 from vsreconf.oracle import (
+    DEFAULT_STATE_CAP,
+    ReconfigGraph,
+    enumerate_states,
     export_reconfig_graph,
     rule_neighbors,
     solve_bfs,
     verify_sequence,
 )
+from vsreconf.separators import brute_force_separators, canon
 
 from fixtures import (
     FIG1_S,
@@ -29,6 +34,69 @@ def c5_instance(rule, source, target, k=None):
     )
 
 
+def random_instances(seed, count):
+    """Seeded instances on random connected graphs with n = 4..8, under
+    TS, TJ and TAR; TAR takes k from the larger endpoint up to +2."""
+    rng = random.Random(seed)
+    made = 0
+    while made < count:
+        g = random_connected_graph(rng, rng.randint(4, 8))
+        pairs = list(nonadjacent_pairs(g))
+        if not pairs:
+            continue
+        s, t = rng.choice(pairs)
+        seps = list(brute_force_separators(g, s, t))
+        by_size = {}
+        for x in seps:
+            by_size.setdefault(len(x), []).append(x)
+        group = max(by_size.values(), key=len)
+        a, b = rng.sample(group, 2) if len(group) > 1 else group * 2
+        yield ReconfigInstance(g, s, t, rng.choice((Rule.TS, Rule.TJ)), a, b)
+        b = rng.choice([x for x in seps if x != a] or seps)
+        k = max(len(a), len(b)) + rng.randint(0, 2)
+        yield ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
+        made += 1
+
+
+def reference_solve_bfs(instance, state_cap=DEFAULT_STATE_CAP):
+    """The search as it was before candidates were filtered: the full
+    `rule_neighbors` of each dequeued state, then the reached ones
+    dropped."""
+    source, target = instance.source, instance.target
+    parent = {source: None}
+    queue = deque([source])
+    while queue and target not in parent:
+        cur = queue.popleft()
+        for nxt in sorted(rule_neighbors(instance, cur), key=canon):
+            if nxt in parent:
+                continue
+            if len(parent) >= state_cap:
+                raise ResourceLimitError(f"state cap {state_cap} exceeded")
+            parent[nxt] = cur
+            if nxt == target:
+                break
+            queue.append(nxt)
+    if target not in parent:
+        return Solution(False, states_explored=len(parent))
+    seq = [target]
+    while parent[seq[-1]] is not None:
+        seq.append(parent[seq[-1]])
+    seq.reverse()
+    return Solution(True, seq, len(parent))
+
+
+def reference_export(instance):
+    """The reconfiguration graph by a rule-adjacency test of every pair."""
+    states = enumerate_states(instance)
+    edges = [
+        (a, b)
+        for i, a in enumerate(states)
+        for b in states[i + 1:]
+        if states_adjacent(instance.rule, a, b, instance.graph, instance.k)
+    ]
+    return ReconfigGraph(states, edges, instance.rule, instance.k)
+
+
 class TestRuleNeighbors:
     def test_c5_ts(self):
         inst = c5_instance(Rule.TS, {1, 3}, {1, 4})
@@ -41,6 +109,15 @@ class TestRuleNeighbors:
     def test_c5_tar(self):
         inst = c5_instance(Rule.TAR, {1, 3}, {1, 4}, k=3)
         assert rule_neighbors(inst, frozenset({1, 3})) == {frozenset({1, 3, 4})}
+
+    def test_equals_adjacent_separators_random(self):
+        for inst in random_instances(31, 25):
+            states = enumerate_states(inst)
+            for a in states:
+                assert rule_neighbors(inst, a) == {
+                    b for b in states
+                    if states_adjacent(inst.rule, a, b, inst.graph, inst.k)
+                }
 
 
 class TestSolveBfs:
@@ -97,6 +174,22 @@ class TestSolveBfs:
                 assert fwd.reachable == bwd.reachable
                 assert fwd.distance == bwd.distance
             done += 1
+
+    def test_matches_unfiltered_search_random(self):
+        for inst in random_instances(7, 80):
+            got, want = solve_bfs(inst), reference_solve_bfs(inst)
+            assert got.reachable == want.reachable
+            assert got.sequence == want.sequence
+            assert got.states_explored == want.states_explored
+
+    def test_state_cap_boundary_matches_unfiltered_search_random(self):
+        for inst in random_instances(11, 30):
+            explored = solve_bfs(inst).states_explored
+            for search in (solve_bfs, reference_solve_bfs):
+                assert search(inst, state_cap=explored).states_explored == explored
+                if explored > 1:  # one state is reached without an insertion
+                    with pytest.raises(ResourceLimitError):
+                        search(inst, state_cap=explored - 1)
 
     def test_tar_cardinality_bound_respected(self):
         inst = c5_instance(Rule.TAR, {1, 3}, {1, 4}, k=3)
@@ -168,3 +261,9 @@ class TestExport:
         inst = c5_instance(Rule.TAR, {1, 3}, {1, 4}, k=3)
         dot = export_reconfig_graph(inst).to_dot()
         assert "TAR k=3" in dot and dot.startswith("graph")
+
+    def test_matches_all_pairs_construction_random(self):
+        for inst in random_instances(19, 30):
+            got, want = export_reconfig_graph(inst), reference_export(inst)
+            assert got == want
+            assert got.to_dot() == want.to_dot()
