@@ -4,9 +4,11 @@ All algorithm modules share this representation: vertices are 0..n-1,
 edges are unordered pairs, no loops or multi-edges.  Instances are
 immutable after construction, so they can be shared freely.
 
-Queries (``neighbors``, ``has_edge``, ``neighborhood``, ``reachable_from``)
-trust their vertex ids.  Ids are checked where they enter: in the
-constructor, ``separators.check_state``, ``ReconfigInstance`` and the CLI.
+Queries (``neighbors``, ``has_edge``, ``neighborhood``, ``reachable_from``,
+``separates``, ``boundary``) trust their vertex ids.  Ids are checked
+where they enter: in the constructor, ``separators.check_state``,
+``ReconfigInstance`` and the CLI.  ``separates`` stops at its target,
+and ``boundary`` reads N(C) off the one search of C.
 """
 
 from __future__ import annotations
@@ -101,6 +103,40 @@ class Graph:
                     seen.add(y)
                     queue.append(y)
         return seen
+
+    def separates(self, s: int, t: int, removed: frozenset[int] | set[int]) -> bool:
+        """Whether t is unreachable from s in the graph minus `removed`:
+        one search from s that stops the moment it meets t."""
+        if s == t:
+            return False
+        adj = self._adj
+        seen = {s, *removed}
+        stack = [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    if y == t:
+                        return False
+                    seen.add(y)
+                    stack.append(y)
+        return True
+
+    def boundary(self, start: int, removed: frozenset[int] | set[int]) -> frozenset[int]:
+        """N(C) for the component C of `start` in the graph minus
+        `removed`: the removed vertices one search from `start` touches."""
+        adj = self._adj
+        seen = {start}
+        stack = [start]
+        touched = []
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in seen:
+                    seen.add(y)
+                    if y in removed:
+                        touched.append(y)
+                    else:
+                        stack.append(y)
+        return frozenset(touched)
 
     def components(self, removed: frozenset[int] | set[int] = frozenset()) -> list[set[int]]:
         """Connected components of the graph minus `removed`, each sorted

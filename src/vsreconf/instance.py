@@ -71,7 +71,7 @@ class ReconfigInstance:
         object.__setattr__(self, "source", check_state(g, s, t, self.source))
         object.__setattr__(self, "target", check_state(g, s, t, self.target))
         for name, st in (("source", self.source), ("target", self.target)):
-            if t in g.reachable_from(s, st):
+            if not g.separates(s, t, st):
                 raise InvalidInstanceError(f"{name} state is not an st-separator")
         if self.rule is Rule.TAR:
             if self.k is None or self.k < 1:

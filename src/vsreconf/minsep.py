@@ -12,8 +12,8 @@ a minimal st-separator, so none is tested:
   the connected set A u {x}, where A is the s-side of G - S.  That set
   holds s and misses the candidate, so s's component is full too.
 
-Each expansion is one BFS and one neighbourhood: O(|F| n (n + m)) for a
-family of |F| separators.
+Each expansion is one ``Graph.boundary`` search of t's component:
+O(|F| n (n + m)) for a family of |F| separators.
 """
 
 from __future__ import annotations
@@ -51,10 +51,7 @@ def enumerate_minimal_separators(
     if g.has_edge(s, t):
         raise InputError("adjacent terminals admit no separator")
 
-    def step(removed: frozenset[int]) -> State:
-        return g.neighborhood(g.reachable_from(t, removed))
-
-    seed = step(g.neighbors(s) | {s})
+    seed = g.boundary(t, g.neighbors(s) | {s})
     found: set[State] = {seed}
     queue: deque[State] = deque([seed])
     while queue:
@@ -62,7 +59,7 @@ def enumerate_minimal_separators(
         for x in sep:
             if g.has_edge(x, t):
                 continue
-            cand = step(sep | g.neighbors(x))
+            cand = g.boundary(t, sep | g.neighbors(x))
             if cand in found:
                 continue
             if len(found) >= family_cap:
@@ -103,7 +100,9 @@ def tame_solve(
     g, s, t, k = tar.graph, tar.s, tar.t, tar.k
     assert k is not None
 
-    members = enumerate_minimal_separators(g, s, t, family_cap).sorted_members()
+    family = enumerate_minimal_separators(g, s, t, family_cap)
+    # a member larger than k overlaps nothing, since |a u b| >= |b| > k
+    members = [m for m in family.sorted_members() if len(m) <= k]
     sa = shrink_to_minimal(g, s, t, tar.source)
     sb = shrink_to_minimal(g, s, t, tar.target)
 

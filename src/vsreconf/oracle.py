@@ -8,7 +8,8 @@ One move generator, :func:`_moves`, lists the rule-adjacent candidates
 of a state for the search, :func:`rule_neighbors` and the export.  The
 search tests a candidate for separation only while it is unreached, so
 the parent and siblings of a dequeued state cost a hash lookup, not a
-BFS of the graph.
+search of the graph.  Each test is one ``Graph.separates`` search,
+which stops as soon as it meets t.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
     return {
         cand
         for cand, needs_test in _moves(instance, st)
-        if not needs_test or t not in g.reachable_from(s, cand)
+        if not needs_test or g.separates(s, t, cand)
     }
 
 
@@ -82,7 +83,8 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
     tested for separation in :func:`canon` order, and each one that
     separates is reached from it.  A dequeued state yields O(k n)
     candidates (O(k Δ) under TS), each built and looked up in O(k), and
-    costs one O(n + m) separation test per candidate still unreached.
+    costs one O(n + m) separation test per candidate still unreached, a
+    search from s that stops when it meets t.
     The state cap counts reached states."""
     g, s, t = instance.graph, instance.s, instance.t
     source, target = instance.source, instance.target
@@ -92,7 +94,7 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
         cur = queue.popleft()
         fresh = [m for m in _moves(instance, cur) if m[0] not in parent]
         for nxt, needs_test in sorted(fresh, key=lambda m: canon(m[0])):
-            if needs_test and t in g.reachable_from(s, nxt):
+            if needs_test and not g.separates(s, t, nxt):
                 continue
             if len(parent) >= state_cap:
                 raise ResourceLimitError(
@@ -147,7 +149,7 @@ def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_
     for r in sizes:
         for combo in combinations(pool, r):
             cand = frozenset(combo)
-            if t not in g.reachable_from(s, cand):
+            if g.separates(s, t, cand):
                 states.append(cand)
                 if len(states) > state_cap:
                     raise ResourceLimitError(f"state cap {state_cap} exceeded")

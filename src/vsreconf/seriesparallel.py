@@ -283,6 +283,7 @@ class SPDecomposition:
     graph: Graph
     trees: list[PSTree]  # one per multi-edge block; K2 blocks carry no tree
     k2_blocks: list[frozenset[int]]
+    cut_vertices: frozenset[int]
 
     def tree_for(self, s: int, t: int) -> PSTree | None:
         for tr in self.trees:
@@ -294,18 +295,23 @@ class SPDecomposition:
 def recognize_and_decompose(g: Graph) -> SPDecomposition:
     """Construction trees for every 2-connected block of a connected
     graph; raises NotApplicableError naming the first non-series-parallel
-    block."""
+    block.  Cut vertices are the vertices in two or more blocks."""
     if not g.is_connected():
         raise InputError("decomposition expects a connected graph")
     trees = []
     k2 = []
+    seen: set[int] = set()
+    cuts: set[int] = set()
     for block in g.blocks():
         edges = sorted(block)
+        vs = {v for e in edges for v in e}
+        cuts |= seen & vs
+        seen |= vs
         if len(edges) == 1:
             k2.append(frozenset(edges[0]))
             continue
         trees.append(build_ps_tree(edges))
-    return SPDecomposition(g, trees, k2)
+    return SPDecomposition(g, trees, k2, frozenset(cuts))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +440,7 @@ def _classify(
     tree = decomp.tree_for(s, t)
     if tree is not None:
         return (tree, *_classify_block(tree, s, t))
-    for w in sorted(g.cut_vertices()):
+    for w in sorted(decomp.cut_vertices):
         if w not in (s, t) and is_separator(g, s, t, {w}):
             return None, CutVertexSeparated(w), False, None
     raise ContractViolationError("no block or cut vertex found for the pair")
@@ -680,7 +686,7 @@ def _do_parallel(tree: PSTree, w: _Walker, a: int, b: int, l: int) -> None:
         raise ContractViolationError("parallel pair with a one-sided separator")
     # neither a nor b is held: a token of the s side takes the one that
     # s cannot reach, then another token takes the other
-    first = a if a not in w.reach_from(w.s) else b
+    first = a if w.g.separates(w.s, a, w.cur) else b
     second = b if first == a else a
     w.jump_from(a_s, first)
     w.move_any_to(second, protected=frozenset({first}))

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -117,6 +118,29 @@ class TestBiconnectivity:
         assert seen_disconnected > 500 and seen_isolated > 500
 
 
+class TestSearches:
+    def test_separates_and_boundary_match_the_full_component(self):
+        # one early-exit search each, against the whole component of the
+        # start; removed sets often hold the start's neighbours, and
+        # sometimes the start or the target itself
+        rng = random.Random(23)
+        seen_disconnected = seen_cut_off = seen_reached = 0
+        for _ in range(3000):
+            n = rng.randint(1, 12)
+            p = rng.choice([0.1, 0.25, 0.45])
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            s, t = rng.randrange(n), rng.randrange(n)
+            removed = {v for v in g.vertices() if rng.random() < 0.2}
+            removed |= {v for v in g.neighbors(s) if rng.random() < 0.7}
+            comp = g.reachable_from(s, removed)
+            assert g.separates(s, t, removed) == (t not in comp), (g.to_text(), s, t, removed)
+            assert g.boundary(s, removed) == g.neighborhood(comp), (g.to_text(), s, removed)
+            seen_disconnected += not g.is_connected()
+            seen_cut_off += t not in comp
+            seen_reached += t in comp and t != s
+        assert min(seen_disconnected, seen_cut_off, seen_reached) > 300
+
+
 class TestDiameter:
     def test_k3(self):
         assert complete_graph(3).diameter() == 1
@@ -170,6 +194,31 @@ class TestMinimality:
             for s, t in nonadjacent_pairs(g):
                 for sep in brute_force_minimal_separators(g, s, t):
                     assert is_minimal_separator(g, s, t, sep)
+
+    def test_matches_drop_one_vertex_rule(self):
+        # the full-sides test against the definition: a separator from
+        # which dropping any one vertex reconnects s and t, on every
+        # subset of the non-terminals, disconnected graphs included
+        def drop_one_rule(g, s, t, sep):
+            if t in g.reachable_from(s, sep):
+                return False
+            return all(t in g.reachable_from(s, sep - {v}) for v in sep)
+
+        rng = random.Random(19)
+        counts = [0, 0]
+        for _ in range(80):
+            n = rng.randint(3, 7)
+            p = rng.choice([0.25, 0.45, 0.65])
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            for s, t in nonadjacent_pairs(g):
+                pool = [v for v in g.vertices() if v not in (s, t)]
+                for r in range(len(pool) + 1):
+                    for combo in itertools.combinations(pool, r):
+                        sep = frozenset(combo)
+                        want = drop_one_rule(g, s, t, sep)
+                        assert is_minimal_separator(g, s, t, sep) == want, (g.to_text(), s, t, combo)
+                        counts[want] += 1
+        assert min(counts) > 500
 
 
 class TestShrinkToMinimal:

@@ -401,6 +401,24 @@ class TestSolver:
         assert reconfigure_to_canonical(d, 1, 5, F(4, 6)) == [F(4, 6), F(3, 6)]
         assert reconfigure_to_canonical(d, 1, 5, F(3)) == [F(3)]
 
+    def test_decomposition_cut_vertices_match_the_graph(self):
+        # series-parallel blocks and bridges glued at random vertices
+        rng = random.Random(43)
+        seen_cuts = 0
+        for _ in range(60):
+            g = random_series_parallel_graph(rng, rng.randint(3, 6))
+            n, edges = g.n, sorted(g.edges)
+            for _ in range(rng.randint(0, 3)):
+                h = random_series_parallel_graph(rng, 4) if rng.random() < 0.6 else path_graph(2)
+                glue = rng.randrange(n)
+                at = {v: glue if v == 0 else n + v - 1 for v in h.vertices()}
+                edges += [(at[a], at[b]) for a, b in h.edges]
+                n += h.n - 1
+            g = Graph(n, edges)
+            assert recognize_and_decompose(g).cut_vertices == g.cut_vertices(), g.to_text()
+            seen_cuts += bool(g.cut_vertices())
+        assert seen_cuts > 30
+
     def test_matches_oracle_small_random(self):
         rng = random.Random(41)
         done = 0

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 
 from vsreconf import Solution, solve
+from vsreconf.cli import format_instance, main as cli_main
 from vsreconf.cliquepair import characterize
 from vsreconf.errors import InputError
 from vsreconf.graph import Graph, cycle_graph
@@ -12,7 +14,7 @@ from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import brute_force_separators
 
-from fixtures import nonadjacent_pairs, random_connected_graph
+from fixtures import nonadjacent_pairs, random_connected_graph, random_series_parallel_graph
 
 
 def F(*xs):
@@ -126,3 +128,58 @@ def test_solve_matches_oracle_on_random_instances():
             if res.reachable:
                 assert verify_sequence(inst, res.sequence)
         done += 1
+
+
+def grid_graph(rows, cols):
+    return Graph(rows * cols, [
+        (r * cols + c, r * cols + c + d)
+        for r in range(rows) for c in range(cols) for d in (1, cols)
+        if (d == 1 and c + 1 < cols) or (d == cols and r + 1 < rows)
+    ])
+
+
+def matched_cliques(q):
+    """Cliques {0..q-1} and {q..2q-1} joined by the matching i -- q+i."""
+    edges = [(a, b) for base in (0, q) for a in range(base, base + q) for b in range(a + 1, base + q)]
+    return Graph(2 * q, edges + [(i, q + i) for i in range(q)])
+
+
+def digest_instances():
+    """About a hundred seeded instances over every route: cycles, 3 x m
+    grids, series-parallel graphs, G(n, p) and matched cliques, each
+    under TS, TJ and TAR."""
+    rng = random.Random(10)
+    graphs = [cycle_graph(n) for n in range(5, 13)]
+    graphs += [grid_graph(3, m) for m in range(2, 7)]
+    graphs += [random_series_parallel_graph(rng, n) for n in range(6, 14)]
+    graphs += [random_connected_graph(rng, rng.randint(6, 9), 0.35) for _ in range(8)]
+    graphs += [matched_cliques(q) for q in (3, 4, 5)]
+    out = []
+    for g in graphs:
+        s, t = rng.choice(list(nonadjacent_pairs(g)))
+        seps = sorted(brute_force_separators(g, s, t, max_size=5), key=sorted)
+        # TAR between minimum states under a tight bound, so that some are NO
+        small = [x for x in seps if len(x) == min(map(len, seps))]
+        for rule in Rule:
+            if rule is Rule.TAR:
+                a, b = rng.choice(small), rng.choice(small)
+                out.append(ReconfigInstance(g, s, t, rule, a, b, max(len(a), len(b)) + rng.randint(0, 1)))
+            else:
+                a = rng.choice(seps)
+                b = rng.choice([x for x in seps if len(x) == len(a)])
+                out.append(ReconfigInstance(g, s, t, rule, a, b))
+    return out
+
+
+def test_solve_sequence_output_is_pinned(tmp_path, capsys):
+    # stdout and exit code of `solve FILE --sequence` on every instance,
+    # so a faster search cannot change an answer or a certificate
+    h = hashlib.sha256()
+    instances = digest_instances()
+    for i, inst in enumerate(instances):
+        path = tmp_path / f"{i}.inst"
+        path.write_text(format_instance(inst))
+        code = cli_main(["solve", str(path), "--sequence"])
+        h.update(f"{code}\n{capsys.readouterr().out}".encode())
+    assert len(instances) == 96
+    assert h.hexdigest() == "2996579120e695f82072bf7b998cbb7c0f6ba291a09d46ffc27a8c986933bee0"
