@@ -19,8 +19,8 @@ from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import solve_bfs
 from .separators import State, pad_state
-from .sequence import certify, dedupe, jumps
-from .tar_tj import _tar_to_tj, is_trivially_negative_tar, tj_to_tar_sequence
+from .sequence import dedupe, jumps
+from .tar_tj import solve_via_tj
 
 
 def is_3p1_diamond_free(g: Graph) -> bool:
@@ -215,52 +215,33 @@ def _matched_to_canonical(
     return seq
 
 
-def _tj_walk(instance: ReconfigInstance, ch: Characterization) -> ReconfigSequence:
-    """TJ walk between the endpoints of an in-class instance, before the
-    solver's final check."""
+def _tj_walk(
+    instance: ReconfigInstance, ch: CutVertexCliques | MatchedCliques
+) -> ReconfigSequence:
+    """TJ walk between the distinct endpoints of an in-class instance,
+    before the solver's final check."""
     g, s, t = instance.graph, instance.s, instance.t
     sa, sb = instance.source, instance.target
-    if sa == sb:
-        return [sa]
     if isinstance(ch, CutVertexCliques):
         # every state contains the cut vertex, and every superset of it is
         # a separator, so tokens jump directly to their destinations
         return jumps(sa, sb)
-    if isinstance(ch, MatchedCliques):
-        canonical = _canonical_matched_state(g, ch, s, t, len(sa))
-        fwd = _matched_to_canonical(instance, ch, sa, canonical)
-        bwd = _matched_to_canonical(instance, ch, sb, canonical)
-        return dedupe(fwd + bwd[::-1])
-    # five-cycle: the state space is tiny; exhaustive search is exact
-    return solve_bfs(instance).sequence  # type: ignore[return-value]
+    canonical = _canonical_matched_state(g, ch, s, t, len(sa))
+    fwd = _matched_to_canonical(instance, ch, sa, canonical)
+    bwd = _matched_to_canonical(instance, ch, sb, canonical)
+    return dedupe(fwd + bwd[::-1])
 
 
 def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
     """Always-YES constructive solver for TJ (and TAR via conversion) on
-    the two-clique class; the only NO answers are stuck TAR endpoints."""
+    the two-clique class; the only NO answers are stuck TAR endpoints.
+    The five-cycle's state space is tiny, so exhaustive search answers it."""
     ch = _require_class(instance.graph)
     if instance.rule is Rule.TS:
         raise InputError("TS instances are handled by solve_ts_3p1d")
-    if instance.rule is Rule.TJ and isinstance(ch, SpecialC5):
+    if isinstance(ch, SpecialC5):
         return solve_bfs(instance)
-    if instance.rule is Rule.TJ or instance.source == instance.target:
-        return Solution(True, certify(instance, _tj_walk(instance, ch)))
-
-    g, k = instance.graph, instance.k
-    assert k is not None
-    tar = instance
-    if k > g.n - 1:
-        # states never hold s or t, so every bound from n-2 up admits the
-        # same states; n-1 is the largest whose TJ recast (k-1 padded
-        # tokens) fits in the n-2 non-terminals
-        tar = ReconfigInstance(g, instance.s, instance.t, Rule.TAR,
-                               instance.source, instance.target, g.n - 1)
-    if is_trivially_negative_tar(tar):
-        return Solution(False)
-    conv = _tar_to_tj(tar)
-    mid = tj_to_tar_sequence(_tj_walk(conv.tj_instance, ch))
-    seq = conv.source_bridge + mid + conv.target_bridge[::-1]
-    return Solution(True, certify(instance, dedupe(seq)))
+    return solve_via_tj(instance, lambda tj: _tj_walk(tj, ch))
 
 
 def solve_ts_3p1d(instance: ReconfigInstance) -> Solution:

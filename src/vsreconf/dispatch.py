@@ -1,9 +1,11 @@
 """The library's one entry point: :func:`solve` answers an instance with
 a chosen engine, or picks one.
 
-``auto`` takes the first route that applies: the two-clique class
-solvers, the series-parallel TJ construction, exhaustive search for TS,
-and the tame-class solver for the rest.
+``auto`` takes the first route that applies.  A TS instance goes to the
+two-clique class solver, else to exhaustive search.  A TJ or TAR
+instance goes to the two-clique class solver, then to the series-parallel
+construction, both of which answer TAR through the TJ equivalence, and
+else to the tame-class solver.
 """
 
 from __future__ import annotations
@@ -24,12 +26,13 @@ def solve(instance: ReconfigInstance, engine: str = "auto") -> Solution:
     """YES/NO plus, for YES, a checked certificate; ``engine`` of the
     result names the engine that answered."""
     if engine == "auto":
-        for route in ("class", "sp") if instance.rule is Rule.TJ else ("class",):
+        ts = instance.rule is Rule.TS
+        for route in ("class",) if ts else ("class", "sp"):
             try:
                 return solve(instance, route)
             except NotApplicableError:
                 pass
-        return solve(instance, "oracle" if instance.rule is Rule.TS else "tame")
+        return solve(instance, "oracle" if ts else "tame")
     if engine == "oracle":
         res = solve_bfs(instance)
     elif engine == "class":

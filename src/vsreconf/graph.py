@@ -157,33 +157,7 @@ class Graph:
             return True
         return len(self.reachable_from(0)) == self.n
 
-    def bfs_distances(self, start: int) -> dict[int, int]:
-        dist = {start: 0}
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for y in self._adj[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        return dist
-
-    def diameter(self) -> int:
-        """Exact diameter via all-pairs BFS.  Raises on disconnected input."""
-        if not self.is_connected():
-            raise InputError("diameter undefined: graph is disconnected")
-        if self.n == 0:
-            raise InputError("diameter undefined: empty graph")
-        best = 0
-        for v in range(self.n):
-            best = max(best, max(self.bfs_distances(v).values()))
-        return best
-
     # -- structure ----------------------------------------------------
-
-    def is_clique(self, vs: Iterable[int]) -> bool:
-        vs = list(vs)
-        return all(self.has_edge(a, b) for i, a in enumerate(vs) for b in vs[i + 1:])
 
     def cut_vertices(self) -> set[int]:
         """Articulation points."""

@@ -8,7 +8,8 @@ from which one can read off, for any non-adjacent vertex pair (s, t),
 a canonical minimum st-separator M(s, t) together with a constructive
 procedure reconfiguring any separator into one containing M(s, t) under
 token jumping.  Since both endpoints of an instance reach such a state,
-every TJ instance on a series-parallel graph is a YES instance.
+every TJ instance on a series-parallel graph is a YES instance, and
+TAR instances are answered through the TJ equivalence.
 
 The reduction runs per 2-connected block; pairs split by a cut vertex
 are routed through a state holding that cut vertex instead.
@@ -25,6 +26,7 @@ from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, is_minimal_separator, is_separator, shrink_to_minimal
 from .sequence import certify, dedupe, jumps
+from .tar_tj import solve_via_tj
 
 
 # ---------------------------------------------------------------------------
@@ -756,21 +758,11 @@ def _with_surplus(
     return out
 
 
-def sp_solve_tj(instance: ReconfigInstance) -> Solution:
-    """Constructive TJ solver: the answer is always YES.
-
-    Pairs split by a cut vertex route both endpoints through states
-    containing it; pairs inside one block (which must be series-parallel)
-    are canonicalized toward M(s, t) with surplus tokens carried inertly,
-    then bridged.
-    """
-    if instance.rule is not Rule.TJ:
-        raise InputError("expects a TJ instance")
+def _tj_walk(decomp: SPDecomposition, instance: ReconfigInstance) -> ReconfigSequence:
+    """TJ walk between the distinct endpoints of a TJ instance on the
+    decomposed graph, before the solver's final check."""
     g, s, t = instance.graph, instance.s, instance.t
     a, b = instance.source, instance.target
-    if a == b:
-        return Solution(True, certify(instance, [a]))
-    decomp = recognize_and_decompose(g)
     if decomp.tree_for(s, t) is None:
         # different blocks: any state holding a separating cut vertex is
         # a separator, so one token anchors it while the rest jump freely
@@ -781,12 +773,27 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
             """x, or x with its smallest token swapped for the cut vertex."""
             return x if kind.w in x else x - {min(x)} | {kind.w}
 
-        seq = [a] + jumps(anchor(a), anchor(b)) + [b]
-    else:
-        a_core = shrink_to_minimal(g, s, t, a)
-        b_core = shrink_to_minimal(g, s, t, b)
-        fwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, a_core), a)
-        bwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, b_core), b)
-        # both ends contain M(s, t), which no jump of the middle walk touches
-        seq = fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1]
-    return Solution(True, certify(instance, dedupe(seq)))
+        return dedupe([a] + jumps(anchor(a), anchor(b)) + [b])
+    a_core = shrink_to_minimal(g, s, t, a)
+    b_core = shrink_to_minimal(g, s, t, b)
+    fwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, a_core), a)
+    bwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, b_core), b)
+    # both ends contain M(s, t), which no jump of the middle walk touches
+    return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
+
+
+def sp_solve_tj(instance: ReconfigInstance) -> Solution:
+    """Constructive TJ solver, and TAR through the TJ equivalence: the
+    only NO answers are trivially negative TAR instances.
+
+    Pairs split by a cut vertex route both endpoints through states
+    containing it; pairs inside one block (which must be series-parallel)
+    are canonicalized toward M(s, t) with surplus tokens carried inertly,
+    then bridged.  Recognition runs before any conversion work.
+    """
+    if instance.rule is Rule.TS:
+        raise InputError("expects a TJ or TAR instance")
+    if instance.source == instance.target:
+        return Solution(True, certify(instance, [instance.source]))
+    decomp = recognize_and_decompose(instance.graph)
+    return solve_via_tj(instance, lambda tj: _tj_walk(decomp, tj))

@@ -2,19 +2,21 @@
 
 Canonical alternating normalization of TAR sequences, interleaving /
 subsampling conversions between TJ and TAR certificates, detection of
-trivially negative TAR instances, and instance-level conversion in both
-directions.
+trivially negative TAR instances, instance-level conversion in both
+directions, and :func:`solve_via_tj`, which answers TJ and TAR instances
+alike from a solver's TJ walk.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvalidInstanceError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, check_state, is_minimal_separator, pad_state, shrink_to_minimal
-from .sequence import certify, tar_steps
+from .sequence import certify, dedupe, tar_steps
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
@@ -159,7 +161,8 @@ class TarToTjConversion:
 def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
     """Build the equivalent TJ instance of a non-trivially-negative TAR
     instance: shrink each endpoint to a minimal separator and pad it up to
-    k-1 tokens with the smallest available vertex ids."""
+    k-1 tokens with the smallest available vertex ids, a bound k above
+    n-1 counting as n-1."""
     if instance.rule is not Rule.TAR:
         raise InvalidInstanceError("expects a TAR instance")
     if is_trivially_negative_tar(instance):
@@ -173,10 +176,12 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
 def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
     """:func:`tar_to_tj_instance` of a TAR instance already found not
     trivially negative."""
-    g, s, t, k = instance.graph, instance.s, instance.t, instance.k
-    assert k is not None
-    if k - 1 > g.n - 2:
-        raise InvalidInstanceError("cannot pad states: k-1 exceeds n-2")
+    g, s, t = instance.graph, instance.s, instance.t
+    assert instance.k is not None
+    # states never hold s or t, so every bound from n-2 up admits the same
+    # states; n-1 is the largest whose k-1 padded tokens fit in the n-2
+    # non-terminals
+    k = min(instance.k, g.n - 1)
 
     def primed(st: State) -> tuple[State, ReconfigSequence]:
         """The padded state and the TAR bridge to it: down to the
@@ -195,3 +200,27 @@ def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
     sa, bridge_a = primed(instance.source)
     sb, bridge_b = primed(instance.target)
     return TarToTjConversion(ReconfigInstance(g, s, t, Rule.TJ, sa, sb), bridge_a, bridge_b)
+
+
+def solve_via_tj(
+    instance: ReconfigInstance, tj_walk: Callable[[ReconfigInstance], ReconfigSequence]
+) -> Solution:
+    """Answer a TJ or TAR instance from ``tj_walk``, which builds an
+    unchecked TJ walk between the distinct endpoints of a TJ instance.
+
+    A TAR instance is NO when trivially negative; otherwise its
+    equivalent TJ instance is walked, and the walk, interleaved into a
+    TAR walk, is joined to the endpoints by the conversion's bridges.
+    The result is certified once, against the instance given.
+    """
+    if instance.source == instance.target:
+        return Solution(True, certify(instance, [instance.source]))
+    if instance.rule is Rule.TJ:
+        return Solution(True, certify(instance, tj_walk(instance)))
+    if is_trivially_negative_tar(instance):
+        return Solution(False)
+    conv = _tar_to_tj(instance)
+    tj = conv.tj_instance
+    mid = [tj.source] if tj.source == tj.target else tj_walk(tj)
+    seq = conv.source_bridge + tj_to_tar_sequence(mid) + conv.target_bridge[::-1]
+    return Solution(True, certify(instance, dedupe(seq)))

@@ -148,3 +148,12 @@ def random_series_parallel_graph(rng: random.Random, n: int) -> Graph:
         else:
             edges.append((u, v))
     return Graph(nverts, [(u, v) for u, v in edges if u != v])
+
+
+def theta_graph(p: int, length: int) -> tuple[Graph, list[int], list[int]]:
+    """θ(p, length): terminals 0 and 1 joined by p internally disjoint
+    paths of ``length`` inner vertices each, with the paths' first and
+    last inner vertices (two minimal 0-1 separators of size p)."""
+    paths = [list(range(2 + i * length, 2 + (i + 1) * length)) for i in range(p)]
+    edges = [e for q in paths for e in [(0, q[0]), *zip(q, q[1:]), (q[-1], 1)]]
+    return Graph(2 + p * length, edges), [q[0] for q in paths], [q[-1] for q in paths]

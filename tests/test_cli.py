@@ -103,6 +103,18 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", inst, "--engine", "sp", "--sequence")
         assert code == 0 and out.splitlines() == ["YES", "0 2"]
 
+    def test_engine_sp_tar_sequence_verifies(self, capsys, tmp_path):
+        inst = write_instance(
+            tmp_path, "c6.inst", cycle_graph(6), 0, 3, "TAR", {1, 5}, {2, 4}, k=3
+        )
+        code, out, _ = run(capsys, "solve", inst, "--engine", "sp", "--sequence")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "YES"
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text("\n".join(lines[1:]) + "\n")
+        code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 0 and out.strip() == "VALID"
+
     def test_engine_class_on_fig1_refused(self, capsys, tmp_path):
         inst = fig1_instance(tmp_path, "TJ")
         code, _, err = run(capsys, "solve", inst, "--engine", "class")
@@ -181,6 +193,21 @@ class TestConvert:
         conv = load_instance(str(p))
         assert conv.rule is Rule.TJ
         assert len(conv.source) == len(conv.target) == 2
+
+    def test_tar_bound_above_n_to_tj(self, capsys, tmp_path):
+        # k - 1 exceeds the n - 2 non-terminals; `solve` answers YES, so
+        # the conversion uses the equivalent bound n - 1 instead
+        inst = write_instance(
+            tmp_path, "c6.inst", cycle_graph(6), 0, 3, "TAR", {1, 5}, {2, 4}, k=10
+        )
+        code, out, _ = run(capsys, "convert", inst, "--to", "tj")
+        assert code == 0
+        p = tmp_path / "conv.inst"
+        p.write_text(out)
+        conv = load_instance(str(p))
+        assert conv.rule is Rule.TJ and len(conv.source) == 4
+        code, out, _ = run(capsys, "solve", inst)
+        assert code == 0 and out.splitlines()[0] == "YES"
 
     def test_wrong_direction_exit_2(self, capsys, tmp_path):
         inst = fig1_instance(tmp_path, "TJ")

@@ -163,7 +163,7 @@ class TestCharacterize:
     @pytest.mark.parametrize("n", [4, 5, 6])
     def test_agrees_with_subgraph_check(self, n):
         for g in all_labeled_connected_graphs(n):
-            if g.is_clique(g.vertices()):
+            if len(g.edges) == n * (n - 1) // 2:
                 continue
             in_class = is_3p1_diamond_free(g)
             ch = characterize(g)
@@ -191,8 +191,9 @@ class TestCharacterize:
         assert isinstance(characterize(cocktail_party(m)), NotInScope)
 
     def test_clique_variants_have_small_diameter(self):
+        nx = pytest.importorskip("networkx")
         for g in (bowtie(), prism(), figure2_graph(), figure3_graph(False)):
-            assert g.diameter() <= 3
+            assert nx.diameter(nx.Graph(list(g.edges))) <= 3
 
 
 class TestSolveTarTj:

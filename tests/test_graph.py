@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from vsreconf.cli import main as cli_main
 from vsreconf.errors import ContractViolationError, InputError
-from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
+from vsreconf.graph import Graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import enumerate_minimal_separators
 from vsreconf.separators import (
@@ -139,21 +139,6 @@ class TestSearches:
             seen_cut_off += t not in comp
             seen_reached += t in comp and t != s
         assert min(seen_disconnected, seen_cut_off, seen_reached) > 300
-
-
-class TestDiameter:
-    def test_k3(self):
-        assert complete_graph(3).diameter() == 1
-
-    def test_p4(self):
-        assert path_graph(4).diameter() == 3
-
-    def test_c5(self):
-        assert cycle_graph(5).diameter() == 2
-
-    def test_disconnected_raises(self):
-        with pytest.raises(InputError):
-            Graph(4, [(0, 1), (2, 3)]).diameter()
 
 
 class TestIsSeparator:

@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import random
 import sys
@@ -7,14 +9,15 @@ import pytest
 
 from vsreconf import Solution, solve
 from vsreconf.cli import format_instance, main as cli_main
-from vsreconf.cliquepair import characterize
+from vsreconf.cliquepair import NotInScope, characterize
 from vsreconf.errors import InputError
 from vsreconf.graph import Graph, cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
+from vsreconf.minsep import tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import brute_force_separators
+from vsreconf.separators import brute_force_separators, is_minimal_separator
 
-from fixtures import nonadjacent_pairs, random_connected_graph, random_series_parallel_graph
+from fixtures import nonadjacent_pairs, random_connected_graph, random_series_parallel_graph, theta_graph
 
 
 def F(*xs):
@@ -37,7 +40,7 @@ class TestRoutes:
         [
             (bowtie(), Rule.TJ, F(2), F(2), None, "class"),
             (cycle_graph(6), Rule.TJ, F(1, 5), F(2, 4), None, "sp"),
-            (cycle_graph(6), Rule.TAR, F(1, 5), F(2, 4), 3, "tame"),
+            (cycle_graph(6), Rule.TAR, F(1, 5), F(2, 4), 3, "sp"),
             (cycle_graph(6), Rule.TS, F(1, 5), F(2, 4), None, "oracle"),
         ],
     )
@@ -87,21 +90,68 @@ def test_auto_characterizes_once(monkeypatch, g, t, rule, source, target, k, eng
 
 
 @pytest.mark.parametrize(
-    "g, s, t",
-    [(bowtie(), 0, 4), (prism(), 0, 4), (cycle_graph(5), 0, 2)],
-    ids=["cut-vertex", "matched", "c5"],
+    "g, s, t, engine",
+    [
+        (bowtie(), 0, 4, "class"),
+        (prism(), 0, 4, "class"),
+        (cycle_graph(5), 0, 2, "class"),
+        (cycle_graph(6), 0, 3, "sp"),
+    ],
+    ids=["cut-vertex", "matched", "c5", "c6"],
 )
 @pytest.mark.parametrize("extra", [0, 3], ids=["k=n", "k=n+3"])
-def test_class_tar_bound_above_n_matches_oracle(g, s, t, extra):
+def test_class_tar_bound_above_n_matches_oracle(g, s, t, engine, extra):
     k = g.n + extra
     seps = sorted(brute_force_separators(g, s, t), key=sorted)
     for a, b in itertools.product(seps, repeat=2):
         inst = ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
         res = solve(inst)
-        assert res.engine == "class"
+        assert res.engine == engine
         assert res.reachable == solve_bfs(inst).reachable, (sorted(a), sorted(b))
         if res.reachable:
             assert verify_sequence(inst, res.sequence)
+
+
+def test_tar_on_series_parallel_graphs_matches_oracle():
+    rng = random.Random(11)
+    done = frozen = 0
+    while done < 150:
+        g = random_series_parallel_graph(rng, rng.randint(5, 10))
+        if not isinstance(characterize(g), NotInScope):
+            continue  # a two-clique graph goes to the class route first
+        s, t = rng.choice(list(nonadjacent_pairs(g)))
+        seps = sorted(brute_force_separators(g, s, t), key=sorted)
+        a, b = rng.choice(seps), rng.choice(seps)
+        k = max(len(a), len(b)) + rng.randint(0, 2)
+        if rng.random() < 0.25:
+            # a frozen source: a minimal separator of exactly k vertices
+            a = rng.choice([x for x in seps if is_minimal_separator(g, s, t, x)])
+            b = rng.choice([x for x in seps if len(x) <= len(a)])
+            k = len(a)
+        inst = ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
+        res = solve(inst)
+        assert res.engine == "sp"
+        assert res.reachable == solve_bfs(inst).reachable, (g.to_text(), s, t, k, sorted(a), sorted(b))
+        if res.reachable:
+            assert verify_sequence(inst, res.sequence)
+        frozen += a != b and len(a) == k and is_minimal_separator(g, s, t, a)
+        done += 1
+    assert frozen >= 15
+
+
+def test_theta_tar_is_answered_by_sp(monkeypatch):
+    # θ(6, 4) has 4^6 minimal separators; the tame route must not run
+    def refused(instance):
+        raise AssertionError("tame_solve called")
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("vsreconf") and getattr(mod, "tame_solve", None) is tame_solve:
+            monkeypatch.setattr(mod, "tame_solve", refused)
+    g, first, last = theta_graph(6, 4)
+    inst = ReconfigInstance(g, 0, 1, Rule.TAR, first, last, 7)
+    res = solve(inst)
+    assert res.engine == "sp" and res.reachable
+    assert verify_sequence(inst, res.sequence)
 
 
 def test_solve_matches_oracle_on_random_instances():
@@ -171,15 +221,37 @@ def digest_instances():
     return out
 
 
-def test_solve_sequence_output_is_pinned(tmp_path, capsys):
-    # stdout and exit code of `solve FILE --sequence` on every instance,
-    # so a faster search cannot change an answer or a certificate
-    h = hashlib.sha256()
+@pytest.fixture(scope="module")
+def solve_outputs(tmp_path_factory):
+    """Exit code and stdout of `solve FILE --sequence` on every digest
+    instance."""
     instances = digest_instances()
-    for i, inst in enumerate(instances):
-        path = tmp_path / f"{i}.inst"
-        path.write_text(format_instance(inst))
-        code = cli_main(["solve", str(path), "--sequence"])
-        h.update(f"{code}\n{capsys.readouterr().out}".encode())
     assert len(instances) == 96
-    assert h.hexdigest() == "2996579120e695f82072bf7b998cbb7c0f6ba291a09d46ffc27a8c986933bee0"
+    folder = tmp_path_factory.mktemp("digest")
+    out = []
+    for i, inst in enumerate(instances):
+        path = folder / f"{i}.inst"
+        path.write_text(format_instance(inst))
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = cli_main(["solve", str(path), "--sequence"])
+        out.append((code, buf.getvalue()))
+    return out
+
+
+def test_solve_sequence_output_is_pinned(solve_outputs):
+    # stdout and exit code of every solve, so a faster search cannot
+    # change an answer or a certificate
+    h = hashlib.sha256()
+    for code, out in solve_outputs:
+        h.update(f"{code}\n{out}".encode())
+    assert h.hexdigest() == "3f69178e5c7c93d9f108b0f24ebfc76762f1c00e027a50bf5304545fba596bb9"
+
+
+def test_solve_answers_are_pinned(solve_outputs):
+    # exit code and first line only, so a change of route that changes
+    # certificates must still leave every answer as it was
+    h = hashlib.sha256()
+    for code, out in solve_outputs:
+        h.update(f"{code}\n{out.splitlines()[0]}\n".encode())
+    assert h.hexdigest() == "9d2acea91b86f95f36ba95b9aadca8d3243afb3664af6f0e8948d47594723fb9"
