@@ -4,8 +4,8 @@ a chosen engine, or picks one.
 ``auto`` takes the first route that applies.  A TS instance goes to the
 two-clique class solver, else to exhaustive search.  A TJ or TAR
 instance goes to the two-clique class solver, then to the series-parallel
-construction, both of which answer TAR through the TJ equivalence, and
-else to the tame-class solver.
+construction, and else to the tame-class solver; all three answer TAR
+through the TJ equivalence.
 """
 
 from __future__ import annotations

@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, Rule, Solution
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, canon, check_state, shrink_to_minimal
-from .sequence import certify, dedupe, tar_steps
-from .tar_tj import _normalize, _subsample, is_trivially_negative_tar, tj_to_tar_instance
+from .sequence import carry, dedupe, jumps
+from .tar_tj import solve_via_tj
 
 DEFAULT_FAMILY_CAP = 1_000_000
 
@@ -44,9 +44,9 @@ class SeparatorFamily:
 def enumerate_minimal_separators(
     g: Graph, s: int, t: int, family_cap: int = DEFAULT_FAMILY_CAP
 ) -> SeparatorFamily:
-    """All minimal st-separators of a connected graph."""
-    if not g.is_connected():
-        raise InputError("enumeration expects a connected graph")
+    """All minimal st-separators.  Every search stays in the component of
+    t, so the graph need not be connected; when s lies in another
+    component, the seed is empty and the family is {∅}."""
     check_state(g, s, t, ())
     if g.has_edge(s, t):
         raise InputError("adjacent terminals admit no separator")
@@ -69,69 +69,49 @@ def enumerate_minimal_separators(
     return SeparatorFamily(frozenset(found), s, t)
 
 
-def _overlap(a: State, b: State, k: int) -> bool:
-    """Whether two separators are joined in the overlap graph: their union
-    fits the TAR bound (the size test first spares most unions)."""
-    return len(a) + len(b) <= k or len(a | b) <= k
-
-
-def tame_solve(
-    instance: ReconfigInstance, family_cap: int = DEFAULT_FAMILY_CAP
-) -> Solution:
+def tame_solve(instance: ReconfigInstance) -> Solution:
     """Polynomial TAR/TJ solver for graphs with few minimal separators.
 
-    YES iff the minimalized endpoints lie in the same overlap-graph
-    component.  The certificate is for the instance given: a TJ instance
-    is solved as TAR with bound k+1, and the checked TAR(k+1) walk is
-    folded back into a TJ walk (normalized to sizes k, k+1, k, ..., then
-    every other state kept; each rewrite keeps a valid walk).
+    A TJ instance with k tokens is YES iff its minimalized endpoints lie
+    in one component of the overlap graph: the members of size at most
+    k, joined when their union has at most k+1 vertices.  ``carry``
+    walks the path found, and TAR goes through ``solve_via_tj``, so a
+    TAR certificate passes through the primed states.
 
-    After enumeration, the overlap-graph BFS scans the |F| members once
-    per node it expands, O(|F|^2) union tests at most, and stops as soon
-    as it reaches the target.
+    After enumeration, the overlap BFS scans the |F| members once per
+    node it expands, O(|F|^2) union tests at most, and stops at the target.
     """
     if instance.rule is Rule.TS:
         raise InputError("tame solver handles TAR and TJ only")
-    if instance.source == instance.target:
-        return Solution(True, certify(instance, [instance.source]))
-    tar = tj_to_tar_instance(instance) if instance.rule is Rule.TJ else instance
-    if is_trivially_negative_tar(tar):
-        return Solution(False)
-    g, s, t, k = tar.graph, tar.s, tar.t, tar.k
-    assert k is not None
+    return solve_via_tj(instance, _tj_walk)
 
-    family = enumerate_minimal_separators(g, s, t, family_cap)
-    # a member larger than k overlaps nothing, since |a u b| >= |b| > k
-    members = [m for m in family.sorted_members() if len(m) <= k]
-    sa = shrink_to_minimal(g, s, t, tar.source)
-    sb = shrink_to_minimal(g, s, t, tar.target)
 
-    # BFS in the overlap graph, deterministic ordering, stopping at sb
+def _tj_walk(tj: ReconfigInstance) -> ReconfigSequence | None:
+    """TJ walk between the distinct endpoints of a TJ instance, or None
+    when the overlap search does not reach the target."""
+    g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
+    # a member above k overlaps none: no minimal separator holds another
+    members = [m for m in enumerate_minimal_separators(g, s, t).sorted_members() if len(m) <= k]
+    sa, sb = (shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target))
+
+    # BFS in the overlap graph, deterministic ordering, stopping at sb;
+    # the size test spares most unions
     parent: dict[State, State | None] = {sa: None}
     queue = deque([sa])
     while queue and sb not in parent:
         cur = queue.popleft()
         for nxt in members:
-            if nxt not in parent and _overlap(cur, nxt, k):
+            if nxt not in parent and (len(cur) + len(nxt) <= k + 1 or len(cur | nxt) <= k + 1):
                 parent[nxt] = cur
                 if nxt == sb:
                     break
                 queue.append(nxt)
     if sb not in parent:
-        return Solution(False)
+        return None
 
     path = [sb]
-    while parent[path[-1]] is not None:
-        path.append(parent[path[-1]])  # type: ignore[arg-type]
-    path.reverse()
-
-    # drop to sa, cross each overlap edge through the union, add back up
-    seq = tar_steps(tar.source, sa)
-    for cur, nxt in zip(path, path[1:]):
-        seq += tar_steps(cur, cur | nxt) + tar_steps(cur | nxt, nxt)
-    seq += tar_steps(sb, tar.target)
-    seq = certify(tar, dedupe(seq))
-    if instance.rule is Rule.TJ:
-        size = len(instance.source)
-        seq = _subsample(_normalize(seq, size), size)
-    return Solution(True, seq)
+    while (prev := parent[path[-1]]) is not None:
+        path.append(prev)
+    walk = carry(path[::-1], tj.source)
+    # the last state holds sb, which no jump to the target touches
+    return dedupe(walk + jumps(walk[-1], tj.target))

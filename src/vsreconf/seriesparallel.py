@@ -25,7 +25,7 @@ from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, is_minimal_separator, is_separator, shrink_to_minimal
-from .sequence import certify, dedupe, jumps
+from .sequence import carry, certify, dedupe, jumps
 from .tar_tj import solve_via_tj
 
 
@@ -295,11 +295,11 @@ class SPDecomposition:
 
 
 def recognize_and_decompose(g: Graph) -> SPDecomposition:
-    """Construction trees for every 2-connected block of a connected
-    graph; raises NotApplicableError naming the first non-series-parallel
-    block.  Cut vertices are the vertices in two or more blocks."""
+    """Construction trees for every 2-connected block.  A disconnected
+    graph, or a block that is not series-parallel (named in the message),
+    raises NotApplicableError.  Cut vertices lie in two or more blocks."""
     if not g.is_connected():
-        raise InputError("decomposition expects a connected graph")
+        raise NotApplicableError("decomposition expects a connected graph")
     trees = []
     k2 = []
     seen: set[int] = set()
@@ -734,30 +734,6 @@ def reconfigure_to_canonical(
 # full solver
 
 
-def _with_surplus(
-    core_seq: ReconfigSequence, full_start: State
-) -> ReconfigSequence:
-    """Lift a core (minimal-separator) sequence to full states carrying
-    the surplus tokens unchanged; when a core move lands on a surplus
-    token, the two tokens swap roles and no state is emitted."""
-    surplus = set(full_start - core_seq[0])
-    out = [full_start]
-    for prev, nxt in zip(core_seq, core_seq[1:]):
-        gone = prev - nxt
-        new = nxt - prev
-        assert len(gone) == 1 and len(new) == 1
-        (d,) = new
-        if d in surplus:
-            (x,) = gone
-            surplus.discard(d)
-            surplus.add(x)
-            continue
-        state = frozenset(nxt | surplus)
-        if state != out[-1]:
-            out.append(state)
-    return out
-
-
 def _tj_walk(decomp: SPDecomposition, instance: ReconfigInstance) -> ReconfigSequence:
     """TJ walk between the distinct endpoints of a TJ instance on the
     decomposed graph, before the solver's final check."""
@@ -776,8 +752,8 @@ def _tj_walk(decomp: SPDecomposition, instance: ReconfigInstance) -> ReconfigSeq
         return dedupe([a] + jumps(anchor(a), anchor(b)) + [b])
     a_core = shrink_to_minimal(g, s, t, a)
     b_core = shrink_to_minimal(g, s, t, b)
-    fwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, a_core), a)
-    bwd = _with_surplus(reconfigure_to_canonical(decomp, s, t, b_core), b)
+    fwd = carry(reconfigure_to_canonical(decomp, s, t, a_core), a)
+    bwd = carry(reconfigure_to_canonical(decomp, s, t, b_core), b)
     # both ends contain M(s, t), which no jump of the middle walk touches
     return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
 
@@ -788,8 +764,8 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
 
     Pairs split by a cut vertex route both endpoints through states
     containing it; pairs inside one block (which must be series-parallel)
-    are canonicalized toward M(s, t) with surplus tokens carried inertly,
-    then bridged.  Recognition runs before any conversion work.
+    are canonicalized toward M(s, t), the surplus tokens carried along by
+    ``carry``, then bridged.  Recognition runs before any conversion work.
     """
     if instance.rule is Rule.TS:
         raise InputError("expects a TJ or TAR instance")

@@ -53,11 +53,6 @@ def normalize_tar_sequence(
     excised detour joins two states one step apart.
     """
     _check_tar_sequence(g, s, t, seq, k + 1)
-    return _normalize(seq, k)
-
-
-def _normalize(seq: ReconfigSequence, k: int) -> ReconfigSequence:
-    """:func:`normalize_tar_sequence` of a walk already checked."""
     if len(seq[0]) != k or len(seq[-1]) != k:
         raise ContractViolationError("endpoint states must have size k")
 
@@ -106,15 +101,8 @@ def tar_to_tj_sequence(
     """Inverse of :func:`tj_to_tar_sequence`: keep the odd positions of a
     normalized alternating TAR sequence."""
     _check_tar_sequence(g, s, t, seq, k + 1)
-    return _subsample(seq, k)
-
-
-def _subsample(seq: ReconfigSequence, k: int) -> ReconfigSequence:
-    """:func:`tar_to_tj_sequence` of a walk already checked."""
     if not _alternates(seq, k):
-        raise ContractViolationError(
-            "input is not normalized (sizes must alternate k, k+1, ...)"
-        )
+        raise ContractViolationError("input is not normalized (sizes must alternate k, k+1, ...)")
     out = seq[::2]
     for prev, nxt in zip(out, out[1:]):
         if len(prev - nxt) != 1:
@@ -203,24 +191,29 @@ def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
 
 
 def solve_via_tj(
-    instance: ReconfigInstance, tj_walk: Callable[[ReconfigInstance], ReconfigSequence]
+    instance: ReconfigInstance, tj_walk: Callable[[ReconfigInstance], ReconfigSequence | None]
 ) -> Solution:
     """Answer a TJ or TAR instance from ``tj_walk``, which builds an
-    unchecked TJ walk between the distinct endpoints of a TJ instance.
+    unchecked TJ walk between the distinct endpoints of a TJ instance, or
+    returns None when there is none.
 
-    A TAR instance is NO when trivially negative; otherwise its
-    equivalent TJ instance is walked, and the walk, interleaved into a
-    TAR walk, is joined to the endpoints by the conversion's bridges.
-    The result is certified once, against the instance given.
+    None is a NO, for TJ and TAR alike.  A TAR instance is also NO when
+    trivially negative; otherwise its equivalent TJ instance is walked,
+    and the walk, interleaved into a TAR walk, is joined to the endpoints
+    by the conversion's bridges.  The result is certified once, against
+    the instance given.
     """
     if instance.source == instance.target:
         return Solution(True, certify(instance, [instance.source]))
     if instance.rule is Rule.TJ:
-        return Solution(True, certify(instance, tj_walk(instance)))
+        walk = tj_walk(instance)
+        return Solution(False) if walk is None else Solution(True, certify(instance, walk))
     if is_trivially_negative_tar(instance):
         return Solution(False)
     conv = _tar_to_tj(instance)
     tj = conv.tj_instance
     mid = [tj.source] if tj.source == tj.target else tj_walk(tj)
+    if mid is None:
+        return Solution(False)
     seq = conv.source_bridge + tj_to_tar_sequence(mid) + conv.target_bridge[::-1]
     return Solution(True, certify(instance, dedupe(seq)))

@@ -73,6 +73,14 @@ class TestSolve:
         assert code == 0 and lines[0] == "YES"
         assert lines[1:] == ["1 3", "1 3 4", "1 4"]
 
+    def test_disconnected_tj_yes(self, capsys, tmp_path):
+        # the paths 0-1-2 and 3-4-5: every state separates s = 0 from t = 5
+        inst = write_instance(
+            tmp_path, "two.inst", Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]), 0, 5, "TJ", {1}, {2},
+        )
+        code, out, _ = run(capsys, "solve", inst, "--sequence")
+        assert code == 0 and out.splitlines() == ["YES", "1", "2"]
+
     def test_adjacent_terminals_exit_2(self, capsys, tmp_path):
         p = tmp_path / "bad.inst"
         p.write_text(
@@ -168,6 +176,11 @@ class TestSeparators:
         gfile = write_graph(tmp_path, "p4.graph", path_graph(4))
         code, out, _ = run(capsys, "separators", gfile, "0", "3")
         assert code == 0 and sorted(out.splitlines()) == ["1", "2"]
+
+    def test_disconnected_prints_the_empty_separator(self, capsys, tmp_path):
+        gfile = write_graph(tmp_path, "two.graph", Graph(4, [(0, 1), (2, 3)]))
+        code, out, _ = run(capsys, "separators", gfile, "0", "3")
+        assert code == 0 and out == "\n"
 
 
 class TestConvert:

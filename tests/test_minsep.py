@@ -41,9 +41,22 @@ class TestEnumeration:
         with pytest.raises(InputError):
             enumerate_minimal_separators(complete_graph(3), 0, 1)
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
-            enumerate_minimal_separators(Graph(4, [(0, 1), (2, 3)]), 0, 3)
+    def test_disconnected_matches_brute_force(self):
+        # terminals in two components: the empty set is the one separator
+        assert enumerate_minimal_separators(Graph(4, [(0, 1), (2, 3)]), 0, 3).members == {F()}
+        rng = random.Random(5)
+        done = apart = 0
+        while done < 150:
+            n = rng.randint(4, 9)
+            g = Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3])
+            if g.is_connected():
+                continue
+            s, t = rng.choice(list(nonadjacent_pairs(g)))
+            fam = enumerate_minimal_separators(g, s, t)
+            assert fam.members == brute_force_minimal_separators(g, s, t), (g.to_text(), s, t)
+            apart += fam.members == {F()}
+            done += 1
+        assert 20 <= apart <= 130
 
     def test_family_cap(self):
         with pytest.raises(ResourceLimitError):

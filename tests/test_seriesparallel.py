@@ -97,8 +97,8 @@ class TestConstructionTree:
         term = tree.to_term()
         assert term.startswith("(P ") and "S@2" in term
 
-    def test_disconnected_rejected(self):
-        with pytest.raises(InputError):
+    def test_disconnected_not_applicable(self):
+        with pytest.raises(NotApplicableError):
             recognize_and_decompose(Graph(4, [(0, 1), (2, 3)]))
 
 

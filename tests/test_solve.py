@@ -154,30 +154,75 @@ def test_theta_tar_is_answered_by_sp(monkeypatch):
     assert verify_sequence(inst, res.sequence)
 
 
+def connected_terminals(rng):
+    """G(n, p) on 4..7 vertices, connected, with a non-adjacent pair."""
+    g = random_connected_graph(rng, rng.randint(4, 7), rng.choice([0.4, 0.6]))
+    pairs = list(nonadjacent_pairs(g))
+    return (g, *rng.choice(pairs)) if pairs else None
+
+
+def two_components(apart):
+    """Two connected G(n, p) side by side, with s and t in one of them,
+    or one in each when ``apart``."""
+
+    def draw(rng):
+        g1 = random_connected_graph(rng, rng.randint(2 if apart else 3, 4))
+        g2 = random_connected_graph(rng, rng.randint(2, 4))
+        n1 = g1.n
+        g = Graph(n1 + g2.n, [*g1.edges, *((a + n1, b + n1) for a, b in g2.edges)])
+        if apart:
+            return g, rng.randrange(n1), n1 + rng.randrange(g2.n)
+        pairs = list(nonadjacent_pairs(g1))
+        return (g, *rng.choice(pairs)) if pairs else None
+
+    return draw
+
+
 def test_solve_matches_oracle_on_random_instances():
-    rng = random.Random(3)
-    done = 0
-    while done < 120:
-        g = random_connected_graph(rng, rng.randint(4, 7), rng.choice([0.4, 0.6]))
-        pairs = list(nonadjacent_pairs(g))
-        if not pairs:
-            continue
-        s, t = rng.choice(pairs)
-        seps = sorted(brute_force_separators(g, s, t), key=sorted)
-        a, b = rng.choice(seps), rng.choice(seps)
-        same = [x for x in seps if len(x) == len(a)]
-        for rule in Rule:
-            if rule is Rule.TAR:
-                inst = ReconfigInstance(g, s, t, rule, a, b, max(len(a), len(b)) + rng.randint(0, 2))
-            else:
-                inst = ReconfigInstance(g, s, t, rule, a, rng.choice(same))
-            res = solve(inst)
-            assert res.reachable == solve_bfs(inst).reachable, (
-                g.to_text(), s, t, inst.describe(), sorted(inst.source), sorted(inst.target),
-            )
-            if res.reachable:
-                assert verify_sequence(inst, res.sequence)
-        done += 1
+    for draw in (connected_terminals, two_components(False), two_components(True)):
+        rng = random.Random(3)
+        done = 0
+        while done < 120:
+            drawn = draw(rng)
+            if drawn is None:
+                continue
+            g, s, t = drawn
+            seps = sorted(brute_force_separators(g, s, t), key=sorted)
+            a, b = rng.choice(seps), rng.choice(seps)
+            same = [x for x in seps if len(x) == len(a)]
+            for rule in Rule:
+                if rule is Rule.TAR:
+                    k = max(len(a), len(b), 1) + rng.randint(0, 2)
+                    inst = ReconfigInstance(g, s, t, rule, a, b, k)
+                else:
+                    inst = ReconfigInstance(g, s, t, rule, a, rng.choice(same))
+                res = solve(inst)
+                assert res.reachable == solve_bfs(inst).reachable, (
+                    g.to_text(), s, t, inst.describe(), sorted(inst.source), sorted(inst.target),
+                )
+                if res.reachable:
+                    assert verify_sequence(inst, res.sequence)
+            done += 1
+
+
+def layered_graph(q):
+    """s = 0 joined to A = {1..q}, A complete to B = {q+1..2q}, and B
+    joined to t = 2q+1: the minimal separators are A and B alone."""
+    a, b = range(1, q + 1), range(q + 1, 2 * q + 1)
+    t = 2 * q + 1
+    edges = [(0, x) for x in a] + [(x, y) for x in a for y in b] + [(y, t) for y in b]
+    return Graph(t + 1, edges), set(a), set(b)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("rule", [Rule.TJ, Rule.TAR])
+def test_layered_tame_answers_no(q, rule):
+    # |A u B| = 2q > q + 1, so neither the TJ walk nor the TAR(q+1) one exists
+    g, a, b = layered_graph(q)
+    inst = ReconfigInstance(g, 0, 2 * q + 1, rule, a, b, q + 1 if rule is Rule.TAR else None)
+    res = solve(inst)
+    assert res.engine == "tame" and not res.reachable
+    assert not solve_bfs(inst).reachable
 
 
 def grid_graph(rows, cols):
@@ -245,7 +290,7 @@ def test_solve_sequence_output_is_pinned(solve_outputs):
     h = hashlib.sha256()
     for code, out in solve_outputs:
         h.update(f"{code}\n{out}".encode())
-    assert h.hexdigest() == "3f69178e5c7c93d9f108b0f24ebfc76762f1c00e027a50bf5304545fba596bb9"
+    assert h.hexdigest() == "3e88f54e4106517bf6c3db7abd3cff1fb28f0097e1d18f8abbdafeafa501aec9"
 
 
 def test_solve_answers_are_pinned(solve_outputs):
