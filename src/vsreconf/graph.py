@@ -165,23 +165,26 @@ class Graph:
 
     def blocks(self) -> list[frozenset[Edge]]:
         """Biconnected components as edge sets (bridges come out as
-        single-edge blocks).  Ordered by smallest edge."""
-        return sorted(self._biconnected()[0], key=lambda b: sorted(b))
+        single-edge blocks).  Ordered by smallest edge, which orders them
+        as their sorted edge lists would, since blocks share no edge."""
+        return sorted(self._biconnected()[0], key=min)
 
     def _biconnected(self) -> tuple[list[frozenset[Edge]], set[int]]:
         """Blocks and articulation points in one iterative
         Hopcroft-Tarjan lowpoint DFS: a block closes at the parent of v
         when low[v] >= disc[parent], and that parent is a cut vertex
-        unless it is a DFS root, which is one with two or more children."""
-        disc: dict[int, int] = {}
-        low: dict[int, int] = {}
+        unless it is a DFS root, which is one with two or more children.
+        ``disc`` and ``low`` are lists indexed by vertex id, -1 while
+        undiscovered."""
+        disc = [-1] * self.n
+        low = [0] * self.n
         timer = 0
         estack: list[Edge] = []
         out: list[frozenset[Edge]] = []
         cuts: set[int] = set()
 
         for root in range(self.n):
-            if root in disc:
+            if disc[root] >= 0:
                 continue
             disc[root] = low[root] = timer
             timer += 1
@@ -195,10 +198,11 @@ class Graph:
                 for w in it:
                     if w == parent:
                         continue
-                    if w in disc:
+                    if disc[w] >= 0:
                         if disc[w] < disc[v]:
                             estack.append(_norm_edge(v, w))
-                            low[v] = min(low[v], disc[w])
+                            if disc[w] < low[v]:
+                                low[v] = disc[w]
                     else:
                         estack.append(_norm_edge(v, w))
                         disc[w] = low[w] = timer
@@ -210,7 +214,8 @@ class Graph:
                     stack.pop()
                     if stack:
                         pv = stack[-1][0]
-                        low[pv] = min(low[pv], low[v])
+                        if low[v] < low[pv]:
+                            low[pv] = low[v]
                         if low[v] >= disc[pv]:
                             if pv == root:
                                 root_children += 1

@@ -20,12 +20,13 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Iterable
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, is_minimal_separator, is_separator, shrink_to_minimal
-from .sequence import carry, certify, dedupe, jumps
+from .sequence import carry, dedupe, jumps
 from .tar_tj import solve_via_tj
 
 
@@ -91,15 +92,16 @@ class PSTree:
         return [e for e in self.ancestors(self.support[v]) if self.op[e][0] == "S"]
 
     @cached_property
-    def _pair_edges(self) -> dict[frozenset[int], list[int]]:
-        """Endpoint pair -> ids of the edges joining it, ascending."""
-        index: dict[frozenset[int], list[int]] = {}
+    def _pair_edges(self) -> dict[tuple[int, int], list[int]]:
+        """Endpoint pair, stored as (min, max) -> ids of the edges joining
+        it, ascending."""
+        index: dict[tuple[int, int], list[int]] = {}
         for e, ends in self.endpoints.items():
-            index.setdefault(frozenset(ends), []).append(e)
+            index.setdefault(ends, []).append(e)
         return index
 
     def edges_with_endpoints(self, u: int, v: int) -> list[int]:
-        return list(self._pair_edges.get(frozenset((u, v)), ()))
+        return list(self._pair_edges.get((u, v) if u < v else (v, u), ()))
 
     def epsilon(self, u: int, v: int) -> int:
         return sum(
@@ -166,104 +168,100 @@ class PSTree:
         return render(self.root_edge)
 
 
-def build_ps_tree(block_edges: list[tuple[int, int]]) -> PSTree:
+def build_ps_tree(block_edges: Iterable[tuple[int, int]]) -> PSTree:
     """Reduce a 2-connected block to a single edge by series and parallel
     reductions, recording the inverse construction.
 
-    Deterministic: parallel reductions first (lowest edge-id pair), then
-    the series reduction at the highest-id degree-2 vertex (inner pieces
-    carry high ids in the reference fixtures, so the frame vertices
-    survive to the root).  Raises NotApplicableError if the block is not
-    series-parallel.
+    Deterministic: parallel reductions first, then the series reduction
+    at the highest-id degree-2 vertex (inner pieces carry high ids in the
+    reference fixtures, so the frame vertices survive to the root).
+    Raises NotApplicableError if the block is not series-parallel, and
+    up front if it has more than 2|V| - 3 edges, which no simple
+    series-parallel graph has.  The block is simple: an edge given twice
+    raises InputError.
 
-    Worklist reduction (after Valdes, Tarjan and Lawler): per-vertex
-    incidence sets, live edges per endpoint pair in id order, and two
-    lazily invalidated heaps (parallel groups by lowest edge id,
-    degree-2 vertices by highest id) pick each reduction without a
-    rescan, so the cost is O(m log m) for the m edges of a simple block
-    (whose parallel groups never grow past two edges).
+    One max-heap of degree-2 vertices and ``live``, the live edge of
+    each endpoint pair, pick every reduction (after Valdes, Tarjan and
+    Lawler).  A simple block starts with no parallel pair, and a series
+    step at w replaces the edges u-w, w-v by one u-v edge, so it creates
+    a parallel pair only at u-v, and only if u-v is already live; that
+    pair is reduced at once.  So at most one parallel pair is ever live,
+    and it is the one the rule "parallel first, lowest edge id" would
+    pick next: edge ids, ``order``, ``op``, ``parent`` and ``support``
+    equal those of a rescan after every step.  Degrees never grow (a
+    series step keeps those of u and v, a parallel one lowers them), so
+    a vertex enters the heap once, when its degree reaches 2.  The cost
+    is O(m log m) for the m edges of the block.
     """
-    endpoints: dict[int, tuple[int, int]] = {}
-    for i, (a, b) in enumerate(sorted(tuple(sorted(e)) for e in block_edges)):
-        endpoints[i] = (a, b)
+    endpoints: dict[int, tuple[int, int]] = dict(
+        enumerate(sorted((a, b) if a < b else (b, a) for a, b in block_edges))
+    )
     leaves = frozenset(endpoints)
-    block_vertices = frozenset(v for e in endpoints.values() for v in e)
+    live: dict[tuple[int, int], int] = {}
+    incident: dict[int, set[int]] = {}
+    for e, pair in endpoints.items():
+        if pair in live:
+            raise InputError(f"edge {pair} repeats in the block")
+        live[pair] = e
+        for x in pair:
+            incident.setdefault(x, set()).add(e)
+    block_vertices = frozenset(incident)
+    refusal = f"block is not series-parallel: vertices {sorted(block_vertices)}"
+    if len(endpoints) > 2 * len(block_vertices) - 3:
+        raise NotApplicableError(refusal)
 
     op: dict[int, tuple[str, int | None, tuple[int, int]]] = {}
     parent: dict[int, int] = {}
     support: dict[int, int] = {}
     reductions: list[int] = []
     next_id = len(endpoints)
-
-    incident: dict[int, set[int]] = {v: set() for v in block_vertices}
-    by_pair: dict[tuple[int, int], list[int]] = {}
-    for e, (a, b) in endpoints.items():
-        incident[a].add(e)
-        incident[b].add(e)
-        by_pair.setdefault((a, b), []).append(e)
-    # entries go stale when their group or vertex changes; every reduction
-    # pushes a fresh one for a group of two or more and a degree-2 vertex
-    parallel_heap = [(group[0], pair) for pair, group in by_pair.items() if len(group) >= 2]
-    heapq.heapify(parallel_heap)
-    degree2_heap = [-v for v in block_vertices if len(incident[v]) == 2]
-    heapq.heapify(degree2_heap)
-
-    def reduce(
-        kind: str, created: int | None, kids: tuple[int, int], a: int, b: int
-    ) -> None:
-        """Replace the live edges ``kids`` by a new a-b edge."""
-        nonlocal next_id
+    degree2 = [-v for v, inc in incident.items() if len(inc) == 2]
+    heapq.heapify(degree2)
+    while len(live) > 1:
+        # an entry goes stale only when a parallel step leaves its vertex
+        # with one edge
+        while degree2 and len(incident[-degree2[0]]) != 2:
+            heapq.heappop(degree2)
+        if not degree2:
+            raise NotApplicableError(refusal)
+        # series reduction at the highest degree-2 vertex; its two edges
+        # end at distinct vertices, or they would form a parallel pair
+        w = -heapq.heappop(degree2)
+        e1, e2 = incident[w]
+        if e1 > e2:
+            e1, e2 = e2, e1
+        x, y = endpoints[e1]
+        u = y if x == w else x
+        x, y = endpoints[e2]
+        v = y if x == w else x
+        incident[u].discard(e1)
+        incident[v].discard(e2)
+        del live[endpoints[e1]], live[endpoints[e2]]
         m = next_id
         next_id += 1
-        for e in kids:
-            x, y = endpoints[e]
-            by_pair[(x, y)].remove(e)
-            incident[x].discard(e)
-            incident[y].discard(e)
-            parent[e] = m
-        op[m] = (kind, created, kids)
-        if created is not None:
-            support[created] = m
+        parent[e1] = parent[e2] = m
+        op[m] = ("S", w, (e1, e2) if u < v else (e2, e1))
+        support[w] = m
         reductions.append(m)
-        endpoints[m] = (a, b)
-        group = by_pair.setdefault((a, b), [])
-        group.append(m)  # m exceeds every live id, so the group stays sorted
-        if len(group) >= 2:
-            heapq.heappush(parallel_heap, (group[0], (a, b)))
-        for x in (a, b):
+        pair = (u, v) if u < v else (v, u)
+        endpoints[m] = pair
+        twin = live.get(pair)
+        if twin is not None:
+            # parallel reduction of the pair just created
+            p = next_id
+            next_id += 1
+            parent[twin] = parent[m] = p
+            op[p] = ("P", None, (twin, m))
+            reductions.append(p)
+            endpoints[p] = pair
+            for x in pair:
+                incident[x].discard(twin)
+            m = p
+        live[pair] = m
+        for x in pair:
             incident[x].add(m)
-            if len(incident[x]) == 2:
-                heapq.heappush(degree2_heap, -x)
-
-    for _ in range(len(leaves) - 1):
-        while parallel_heap:
-            first, pair = parallel_heap[0]
-            group = by_pair[pair]
-            if len(group) >= 2 and group[0] == first:
-                break
-            heapq.heappop(parallel_heap)
-        if parallel_heap:
-            # parallel reduction at the lowest edge-id pair
-            _, pair = heapq.heappop(parallel_heap)
-            reduce("P", None, (group[0], group[1]), *pair)
-            continue
-        while degree2_heap and len(incident[-degree2_heap[0]]) != 2:
-            heapq.heappop(degree2_heap)
-        if not degree2_heap:
-            raise NotApplicableError(
-                "block is not series-parallel: "
-                f"vertices {sorted(block_vertices)}"
-            )
-        # series reduction at the highest degree-2 vertex; its two edges
-        # end at distinct vertices, or they would form a parallel group
-        w = -heapq.heappop(degree2_heap)
-        e1, e2 = sorted(incident[w])
-        u = next(x for x in endpoints[e1] if x != w)
-        v = next(x for x in endpoints[e2] if x != w)
-        a, b = min(u, v), max(u, v)
-        first = e1 if a in endpoints[e1] else e2
-        second = e2 if first == e1 else e1
-        reduce("S", w, (first, second), a, b)
+            if twin is not None and len(incident[x]) == 2:
+                heapq.heappush(degree2, -x)
     root = next_id - 1
     tree = PSTree(
         block_vertices=block_vertices,
@@ -272,7 +270,7 @@ def build_ps_tree(block_edges: list[tuple[int, int]]) -> PSTree:
         op=op,
         parent=parent,
         support=support,
-        order=list(reversed(reductions)),
+        order=reductions[::-1],
         leaves=leaves,
     )
     if tree.order and tree.op[tree.order[0]][0] != "P":
@@ -295,9 +293,11 @@ class SPDecomposition:
 
 
 def recognize_and_decompose(g: Graph) -> SPDecomposition:
-    """Construction trees for every 2-connected block.  A disconnected
-    graph, or a block that is not series-parallel (named in the message),
-    raises NotApplicableError.  Cut vertices lie in two or more blocks."""
+    """Construction trees for every 2-connected block, in the order of
+    ``Graph.blocks``.  A disconnected graph, or a block that is not
+    series-parallel (named in the message), raises NotApplicableError.
+    Cut vertices lie in two or more blocks.  Each block goes to
+    :func:`build_ps_tree` as it comes, which sorts its edges once."""
     if not g.is_connected():
         raise NotApplicableError("decomposition expects a connected graph")
     trees = []
@@ -305,14 +305,16 @@ def recognize_and_decompose(g: Graph) -> SPDecomposition:
     seen: set[int] = set()
     cuts: set[int] = set()
     for block in g.blocks():
-        edges = sorted(block)
-        vs = {v for e in edges for v in e}
+        if len(block) == 1:
+            (edge,) = block
+            vs = frozenset(edge)
+            k2.append(vs)
+        else:
+            tree = build_ps_tree(block)
+            trees.append(tree)
+            vs = tree.block_vertices
         cuts |= seen & vs
         seen |= vs
-        if len(edges) == 1:
-            k2.append(frozenset(edges[0]))
-            continue
-        trees.append(build_ps_tree(edges))
     return SPDecomposition(g, trees, k2, frozenset(cuts))
 
 
@@ -428,9 +430,10 @@ def _classify_block(
     return Serial(a, created), swapped, l
 
 
-def _classify(
-    decomp: SPDecomposition, s: int, t: int
-) -> tuple[PSTree | None, PairClassification, bool, int | None]:
+_Classified = tuple[PSTree | None, PairClassification, bool, int | None]
+
+
+def _classify(decomp: SPDecomposition, s: int, t: int) -> _Classified:
     """The pair's block tree (None for a pair split by a cut vertex) and
     what :func:`_classify_block` reads off it: the classification, the
     swap flag and the anchor edge."""
@@ -706,11 +709,21 @@ def reconfigure_to_canonical(
     g = decomp.graph
     if not is_minimal_separator(g, s, t, a_sep):
         raise InputError("expects a minimal separator; shrink the input first")
-    tree, kind, swapped, anchor = _classify(decomp, s, t)
-    canon = _canonical(decomp, s, t, tree, kind).members
+    pair = _classify(decomp, s, t)
+    canon = _canonical(decomp, s, t, pair[0], pair[1]).members
+    return _to_canonical(g, s, t, a_sep, pair, canon)
+
+
+def _to_canonical(
+    g: Graph, s: int, t: int, core: State, pair: _Classified, canon: State
+) -> ReconfigSequence:
+    """:func:`reconfigure_to_canonical` for a minimal separator ``core``
+    (not re-checked), with the pair already classified by
+    :func:`_classify` and ``canon`` = M(s, t)."""
+    tree, kind, swapped, anchor = pair
     if swapped:
         s, t = t, s
-    w = _Walker(g, s, t, a_sep)
+    w = _Walker(g, s, t, core)
     if canon <= w.cur:
         return w.seq
 
@@ -736,24 +749,30 @@ def reconfigure_to_canonical(
 
 def _tj_walk(decomp: SPDecomposition, instance: ReconfigInstance) -> ReconfigSequence:
     """TJ walk between the distinct endpoints of a TJ instance on the
-    decomposed graph, before the solver's final check."""
+    decomposed graph, before the solver's final check.
+
+    The pair is classified once.  A pair split by a cut vertex is walked
+    through states holding it.  Otherwise M(s, t) is built once, and
+    each endpoint's minimal core (from ``shrink_to_minimal``, minimal by
+    construction, so not re-checked) is carried to a state containing
+    it, the surplus tokens riding along through ``carry``."""
     g, s, t = instance.graph, instance.s, instance.t
     a, b = instance.source, instance.target
-    if decomp.tree_for(s, t) is None:
+    pair = _classify(decomp, s, t)
+    tree, kind = pair[0], pair[1]
+    if isinstance(kind, CutVertexSeparated):
         # different blocks: any state holding a separating cut vertex is
         # a separator, so one token anchors it while the rest jump freely
-        kind = classify_pair(decomp, s, t)
-        assert isinstance(kind, CutVertexSeparated)
+        w = kind.w
 
         def anchor(x: State) -> State:
             """x, or x with its smallest token swapped for the cut vertex."""
-            return x if kind.w in x else x - {min(x)} | {kind.w}
+            return x if w in x else x - {min(x)} | {w}
 
         return dedupe([a] + jumps(anchor(a), anchor(b)) + [b])
-    a_core = shrink_to_minimal(g, s, t, a)
-    b_core = shrink_to_minimal(g, s, t, b)
-    fwd = carry(reconfigure_to_canonical(decomp, s, t, a_core), a)
-    bwd = carry(reconfigure_to_canonical(decomp, s, t, b_core), b)
+    canon = _canonical(decomp, s, t, tree, kind).members
+    fwd = carry(_to_canonical(g, s, t, shrink_to_minimal(g, s, t, a), pair, canon), a)
+    bwd = carry(_to_canonical(g, s, t, shrink_to_minimal(g, s, t, b), pair, canon), b)
     # both ends contain M(s, t), which no jump of the middle walk touches
     return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
 
@@ -765,11 +784,11 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     Pairs split by a cut vertex route both endpoints through states
     containing it; pairs inside one block (which must be series-parallel)
     are canonicalized toward M(s, t), the surplus tokens carried along by
-    ``carry``, then bridged.  Recognition runs before any conversion work.
+    ``carry``, then bridged.  Recognition runs first, before any other
+    work, equal endpoints included: a graph that is not series-parallel
+    is refused even when the answer is the one-state walk.
     """
     if instance.rule is Rule.TS:
         raise InputError("expects a TJ or TAR instance")
-    if instance.source == instance.target:
-        return Solution(True, certify(instance, [instance.source]))
     decomp = recognize_and_decompose(instance.graph)
     return solve_via_tj(instance, lambda tj: _tj_walk(decomp, tj))

@@ -117,6 +117,29 @@ class TestBiconnectivity:
             seen_isolated += any(g.degree(v) == 0 for v in g.vertices())
         assert seen_disconnected > 500 and seen_isolated > 500
 
+    def test_blocks_and_cut_vertices_match_networkx(self):
+        nx = pytest.importorskip("networkx")
+        rng = random.Random(1973)
+        seen_bridges = seen_isolated = seen_split = 0
+        for _ in range(400):
+            n = rng.randint(1, 40)
+            p = rng.choice([0.03, 0.06, 0.1, 0.2, 0.4])
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            h = nx.Graph()
+            h.add_nodes_from(range(n))
+            h.add_edges_from(g.edges)
+            want = sorted(
+                (frozenset((min(e), max(e)) for e in comp)
+                 for comp in nx.biconnected_component_edges(h)),
+                key=min,
+            )
+            assert g.blocks() == want, g.to_text()
+            assert g.cut_vertices() == set(nx.articulation_points(h)), g.to_text()
+            seen_bridges += any(nx.bridges(h))
+            seen_isolated += any(g.degree(v) == 0 for v in g.vertices())
+            seen_split += nx.number_connected_components(h) > 1
+        assert min(seen_bridges, seen_isolated, seen_split) > 100
+
 
 class TestSearches:
     def test_separates_and_boundary_match_the_full_component(self):

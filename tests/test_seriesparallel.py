@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from vsreconf.dispatch import solve
 from vsreconf.errors import InputError, NotApplicableError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
@@ -34,6 +35,7 @@ from fixtures import (
     parallel_pair_graph,
     random_connected_graph,
     random_series_parallel_graph,
+    theta_graph,
 )
 
 
@@ -66,6 +68,10 @@ class TestConstructionTree:
     def test_k4_rejected(self):
         with pytest.raises(NotApplicableError):
             build_ps_tree(list(complete_graph(4).edges))
+
+    def test_repeated_edge_rejected(self):
+        with pytest.raises(InputError, match="repeats"):
+            build_ps_tree([(0, 1), (1, 2), (0, 2), (2, 1)])
 
     def test_k4_block_named_in_error(self):
         g = Graph(5, list(complete_graph(4).edges) + [(3, 4)])
@@ -104,7 +110,8 @@ class TestConstructionTree:
 
 def reference_build_ps_tree(block_edges):
     """The rescanning reduction: every step regroups all live edges to
-    find a parallel pair, then scans the vertices for a series one."""
+    find a parallel pair, then recounts every vertex's live edges to find
+    a series one."""
     endpoints = dict(enumerate(sorted(tuple(sorted(e)) for e in block_edges)))
     leaves = frozenset(endpoints)
     block_vertices = frozenset(v for e in endpoints.values() for v in e)
@@ -123,16 +130,18 @@ def reference_build_ps_tree(block_edges):
         reductions.append(m)
 
     while len(live) > 1:
-        groups = {}
+        groups, incident = {}, {}
         for e in sorted(live):
             groups.setdefault(endpoints[e], []).append(e)
+            for x in endpoints[e]:
+                incident.setdefault(x, []).append(e)
         par = [grp for grp in groups.values() if len(grp) >= 2]
         if par:
             e1, e2 = min(par, key=lambda grp: grp[0])[:2]
             reduce("P", None, (e1, e2), endpoints[e1])
             continue
         for w in sorted(block_vertices, reverse=True):
-            inc = sorted(e for e in live if w in endpoints[e])
+            inc = incident.get(w, [])
             if len(inc) != 2:
                 continue
             e1, e2 = inc
@@ -145,7 +154,9 @@ def reference_build_ps_tree(block_edges):
             reduce("S", w, (first, e2 if first == e1 else e1), (a, b))
             break
         else:
-            raise NotApplicableError("block is not series-parallel")
+            raise NotApplicableError(
+                f"block is not series-parallel: vertices {sorted(block_vertices)}"
+            )
     (root,) = live
     return PSTree(
         block_vertices, root, endpoints, op, parent, support,
@@ -153,15 +164,45 @@ def reference_build_ps_tree(block_edges):
     )
 
 
+PSTREE_FIELDS = (
+    "endpoints", "op", "parent", "support", "order", "leaves", "root_edge", "block_vertices",
+)
+
+
 def _outcome(build, edges):
+    """Every recorded field of the tree, or the refusal message."""
     try:
         tree = build(edges)
-    except NotApplicableError:
-        return None
-    return tree.to_term(), tree.order, tree.support
+    except NotApplicableError as exc:
+        return str(exc)
+    return {name: getattr(tree, name) for name in PSTREE_FIELDS}
+
+
+def _relabelled(rng, n, edges):
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)
+
+
+def ladder_edges(m):
+    """The 2 x m ladder: rails 0..m-1 and m..2m-1, rungs i - (m + i)."""
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return rails + [(i, m + i) for i in range(m)]
+
+
+def cocktail_party(q):
+    """K(2, ..., 2) on q pairs: every edge but the matching 2i - (2i + 1)."""
+    n = 2 * q
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if b != a + 1 or a % 2])
 
 
 class TestWorklistMatchesRescan:
+    def _agree(self, edges, series_parallel=True):
+        want = _outcome(reference_build_ps_tree, edges)
+        assert isinstance(want, dict) == series_parallel, want
+        assert _outcome(build_ps_tree, edges) == want
+        return want
+
     def test_random_series_parallel_blocks(self):
         rng = random.Random(2004)
         blocks = 0
@@ -171,15 +212,12 @@ class TestWorklistMatchesRescan:
                 edges = sorted(block)
                 if len(edges) < 2:
                     continue
-                want = _outcome(reference_build_ps_tree, edges)
-                assert want is not None
-                assert _outcome(build_ps_tree, edges) == want
+                self._agree(edges)
                 blocks += 1
 
     def test_k4_refused_by_both(self):
-        edges = sorted(complete_graph(4).edges)
-        assert _outcome(reference_build_ps_tree, edges) is None
-        assert _outcome(build_ps_tree, edges) is None
+        want = self._agree(sorted(complete_graph(4).edges), series_parallel=False)
+        assert want == "block is not series-parallel: vertices [0, 1, 2, 3]"
 
     def test_random_blocks_agree(self):
         rng = random.Random(1982)
@@ -192,8 +230,39 @@ class TestWorklistMatchesRescan:
                     continue
                 want = _outcome(reference_build_ps_tree, edges)
                 assert _outcome(build_ps_tree, edges) == want
-                refused += want is None
+                refused += isinstance(want, str)
         assert refused >= 50
+
+    def test_ladders(self):
+        # construction trees of depth about m
+        rng = random.Random(7)
+        for m in (2, 3, 5, 17, 64, 200):
+            edges = ladder_edges(m)
+            self._agree(edges)
+            self._agree(_relabelled(rng, 2 * m, edges))
+
+    def test_theta_graphs(self):
+        rng = random.Random(9)
+        for p in range(2, 7):
+            for length in (1, 2, 5, 12):
+                g, _, _ = theta_graph(p, length)
+                self._agree(sorted(g.edges))
+                self._agree(_relabelled(rng, g.n, g.edges))
+
+    def test_dense_and_sparse_refusals(self):
+        k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+        k4_subdivided = [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (0, 4), (1, 4), (2, 5), (3, 5)]
+        refused = [
+            sorted(complete_graph(5).edges),
+            k33,  # 2n - 3 edges: refused by the reduction itself
+            k33 + [(0, 1)],
+            k4_subdivided,
+            *(sorted(cocktail_party(q).edges) for q in (3, 4, 5)),
+        ]
+        for edges in refused:
+            want = self._agree(edges, series_parallel=False)
+            vertices = sorted({v for e in edges for v in e})
+            assert want == f"block is not series-parallel: vertices {vertices}"
 
 
 class TestClassification:
@@ -300,6 +369,17 @@ class TestReconfigureToCanonical:
         with pytest.raises(InputError):
             reconfigure_to_canonical(d, PP_S, PP_T, F(2, 3, 5))
 
+    def test_rejects_non_minimal_containing_the_canonical_set(self):
+        # each input holds M(s, t), so only the minimality check refuses it
+        for g, s, t, sep in (
+            (cycle_graph(6), 0, 3, F(1, 2, 4, 5)),
+            (path_graph(4), 0, 3, F(1, 2)),
+        ):
+            d = recognize_and_decompose(g)
+            assert canonical_separator(d, s, t).members <= sep
+            with pytest.raises(InputError, match="minimal"):
+                reconfigure_to_canonical(d, s, t, sep)
+
     def test_all_minimal_separators_small_random(self):
         rng = random.Random(31)
         done = 0
@@ -354,9 +434,22 @@ class TestSolver:
             sp_solve_tj(inst)
 
     def test_identity_shortcut(self):
-        g = Graph(5, list(complete_graph(4).edges) + [(0, 4)])
-        inst = ReconfigInstance(g, 1, 4, Rule.TJ, F(0), F(0))
-        assert sp_solve_tj(inst).sequence == [F(0)]
+        # equal endpoints do not skip recognition: graphs that are not
+        # series-parallel are refused, and auto answers on another route
+        # (K4 plus a pendant vertex is in the two-clique class)
+        k33 = [(a, b) for a in range(1, 4) for b in range(4, 7)]
+        s_k33_t = Graph(8, [(0, 1), (0, 2), (0, 3), *k33, (4, 7), (5, 7), (6, 7)])
+        for g, s, t, state, engine in (
+            (Graph(5, list(complete_graph(4).edges) + [(0, 4)]), 1, 4, F(0), "class"),
+            (s_k33_t, 0, 7, F(1, 2, 3), "tame"),
+            (Graph(4, [(0, 1), (2, 3)]), 0, 3, F(1), "tame"),
+        ):
+            inst = ReconfigInstance(g, s, t, Rule.TJ, state, state)
+            with pytest.raises(NotApplicableError):
+                sp_solve_tj(inst)
+            res = solve(inst)
+            assert res.sequence == [state]
+            assert res.engine == engine
 
     def test_k4_subdivision_refused(self):
         # K4 with two edges doubled-by-subdivision: a K4 minor, one block
