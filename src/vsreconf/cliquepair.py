@@ -170,18 +170,6 @@ def _require_class(g: Graph) -> Characterization:
     return ch
 
 
-def _terminal_sides(
-    ch: CutVertexCliques | MatchedCliques, s: int, t: int
-) -> tuple[frozenset[int], frozenset[int]]:
-    """Clique containing s first; terminals are non-adjacent, hence in
-    different cliques (and never the shared cut vertex)."""
-    if s in ch.q1 and t in ch.q2:
-        return ch.q1, ch.q2
-    if s in ch.q2 and t in ch.q1:
-        return ch.q2, ch.q1
-    raise InputError("terminals must lie in different cliques")
-
-
 def _canonical_matched_state(
     g: Graph, ch: MatchedCliques, s: int, t: int, k: int
 ) -> State:
@@ -263,7 +251,8 @@ def solve_ts_3p1d(instance: ReconfigInstance) -> Solution:
 
     s, t = instance.s, instance.t
     sa, sb = instance.source, instance.target
-    qs, _ = _terminal_sides(ch, s, t)
+    # non-adjacent terminals lie in different cliques, neither on the cut vertex
+    qs = ch.q1 if s in ch.q1 else ch.q2
     if isinstance(ch, CutVertexCliques):
         side = qs - {ch.w}
         yes = len(sa & side) == len(sb & side)

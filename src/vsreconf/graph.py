@@ -160,35 +160,33 @@ class Graph:
     # -- structure ----------------------------------------------------
 
     def cut_vertices(self) -> set[int]:
-        """Articulation points."""
-        return self._biconnected()[1]
+        """Articulation points: the vertices of two or more blocks."""
+        seen: set[int] = set()
+        cuts: set[int] = set()
+        for block in self.blocks():
+            vs = {v for e in block for v in e}
+            cuts |= seen & vs
+            seen |= vs
+        return cuts
 
     def blocks(self) -> list[frozenset[Edge]]:
         """Biconnected components as edge sets (bridges come out as
-        single-edge blocks).  Ordered by smallest edge, which orders them
-        as their sorted edge lists would, since blocks share no edge."""
-        return sorted(self._biconnected()[0], key=min)
-
-    def _biconnected(self) -> tuple[list[frozenset[Edge]], set[int]]:
-        """Blocks and articulation points in one iterative
-        Hopcroft-Tarjan lowpoint DFS: a block closes at the parent of v
-        when low[v] >= disc[parent], and that parent is a cut vertex
-        unless it is a DFS root, which is one with two or more children.
+        single-edge blocks), from one iterative Hopcroft-Tarjan lowpoint
+        DFS: a block closes at the parent of v when low[v] >= disc[parent].
         ``disc`` and ``low`` are lists indexed by vertex id, -1 while
-        undiscovered."""
+        undiscovered.  Ordered by smallest edge, which orders them as
+        their sorted edge lists would, since blocks share no edge."""
         disc = [-1] * self.n
         low = [0] * self.n
         timer = 0
         estack: list[Edge] = []
         out: list[frozenset[Edge]] = []
-        cuts: set[int] = set()
 
         for root in range(self.n):
             if disc[root] >= 0:
                 continue
             disc[root] = low[root] = timer
             timer += 1
-            root_children = 0
             stack: list[tuple[int, int | None, Iterator[int]]] = [
                 (root, None, iter(self._adj[root]))
             ]
@@ -217,10 +215,6 @@ class Graph:
                         if low[v] < low[pv]:
                             low[pv] = low[v]
                         if low[v] >= disc[pv]:
-                            if pv == root:
-                                root_children += 1
-                            else:
-                                cuts.add(pv)
                             block = []
                             e = _norm_edge(pv, v)
                             while estack:
@@ -229,9 +223,7 @@ class Graph:
                                 if f == e:
                                     break
                             out.append(frozenset(block))
-            if root_children >= 2:
-                cuts.add(root)
-        return out, cuts
+        return sorted(out, key=min)
 
     # -- text format --------------------------------------------------
 

@@ -18,15 +18,15 @@ are routed through a state holding that cut vertex instead.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .separators import State, is_minimal_separator, is_separator, shrink_to_minimal
-from .sequence import carry, dedupe, jumps
+from .separators import State, is_minimal_separator, shrink_to_minimal
+from .sequence import carry, certify, dedupe, jumps
 from .tar_tj import solve_via_tj
 
 
@@ -51,7 +51,6 @@ class PSTree:
     support: dict[int, int]  # created vertex -> subdivided edge id
     order: list[int]
     leaves: frozenset[int]
-    _subtree_cache: dict[int, frozenset[int]] = field(default_factory=dict)
 
     # -- structural lookups -------------------------------------------------
 
@@ -66,30 +65,12 @@ class PSTree:
         chain.reverse()
         return chain
 
-    def is_descendant(self, eid: int, anc: int) -> bool:
-        return anc in self.ancestors(eid)
-
-    def subtree_created(self, eid: int) -> frozenset[int]:
-        """Vertices created by series operations at eid or below."""
-        if eid not in self._subtree_cache:
-            out: set[int] = set()
-            stack = [eid]
-            while stack:
-                e = stack.pop()
-                if e in self.op:
-                    kind, created, kids = self.op[e]
-                    if kind == "S":
-                        out.add(created)
-                    stack.extend(kids)
-            self._subtree_cache[eid] = frozenset(out)
-        return self._subtree_cache[eid]
-
-    def espan(self, v: int) -> list[int]:
-        """Series-targeted ancestors of the support of v, from the root
-        down to the support itself."""
-        if v not in self.support:
-            raise InputError(f"vertex {v} belongs to the two-vertex stage")
-        return [e for e in self.ancestors(self.support[v]) if self.op[e][0] == "S"]
+    def created_under(self, eid: int, tokens: State) -> frozenset[int]:
+        """The members of tokens created by a series operation at eid or
+        below: those whose support has eid on its root chain."""
+        return frozenset(
+            x for x in tokens if x in self.support and eid in self.ancestors(self.support[x])
+        )
 
     @cached_property
     def _pair_edges(self) -> dict[tuple[int, int], list[int]]:
@@ -155,17 +136,25 @@ class PSTree:
         return [frozenset(self.endpoints[e]) for e in live]
 
     def to_term(self) -> str:
-        """Nested parenthesized rendering of the construction."""
-
-        def render(eid: int) -> str:
-            u, v = self.endpoints[eid]
-            if eid not in self.op:
-                return f"{u}-{v}"
-            kind, created, (l, r) = self.op[eid]
+        """Nested parenthesized rendering of the construction, built from
+        an explicit stack, since the tree can be as deep as the block is
+        large."""
+        parts: list[str] = []
+        todo: list[int | str] = [self.root_edge]  # edge ids and literal text
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            u, v = self.endpoints[item]
+            if item not in self.op:
+                parts.append(f"{u}-{v}")
+                continue
+            kind, created, (l, r) = self.op[item]
             tag = f"S@{created}" if kind == "S" else "P"
-            return f"({tag} {u}-{v} {render(l)} {render(r)})"
-
-        return render(self.root_edge)
+            parts.append(f"({tag} {u}-{v} ")
+            todo += [")", r, " ", l]
+        return "".join(parts)
 
 
 def build_ps_tree(block_edges: Iterable[tuple[int, int]]) -> PSTree:
@@ -380,12 +369,6 @@ PairClassification = (
 )
 
 
-def _lowest_incident_ancestor(tree: PSTree, eid: int, v: int) -> int | None:
-    """Deepest edge on the root path of eid (eid included) having v as an
-    endpoint."""
-    return next((e for e in reversed(tree.ancestors(eid)) if v in tree.endpoints[e]), None)
-
-
 def _classify_block(
     tree: PSTree, s: int, t: int
 ) -> tuple[PairClassification, bool, int | None]:
@@ -412,7 +395,9 @@ def _classify_block(
         return Sequential(a, v_st), not swapped, None
 
     for outer, inner, flip in ((s, t, swapped), (t, s, not swapped)):
-        f = _lowest_incident_ancestor(tree, tree.support[inner], outer)
+        # the deepest edge on the root chain of inner's support that ends at outer
+        chain = tree.ancestors(tree.support[inner])
+        f = next((e for e in reversed(chain) if outer in tree.endpoints[e]), None)
         if f is not None:
             kind, z, _ = tree.op[f]
             assert kind == "S" and z is not None
@@ -446,7 +431,7 @@ def _classify(decomp: SPDecomposition, s: int, t: int) -> _Classified:
     if tree is not None:
         return (tree, *_classify_block(tree, s, t))
     for w in sorted(decomp.cut_vertices):
-        if w not in (s, t) and is_separator(g, s, t, {w}):
+        if w not in (s, t) and g.separates(s, t, {w}):
             return None, CutVertexSeparated(w), False, None
     raise ContractViolationError("no block or cut vertex found for the pair")
 
@@ -485,7 +470,7 @@ def _canonical(
         assert tree is not None and isinstance(kind, (RootBoth, Sequential, RootEdge))
         eps = tree.epsilon(s, t)
         members = kind.v_st if isinstance(kind, RootBoth) else kind.v_st | {kind.a}
-    if not is_separator(decomp.graph, s, t, members):
+    if not decomp.graph.separates(s, t, members):
         raise ContractViolationError("canonical set fails the separator check")
     expected = eps + (1 if isinstance(kind, (RootBoth, CutVertexSeparated)) else 2)
     if len(members) != expected:
@@ -502,8 +487,9 @@ class _Walker:
 
     A move is refused only when it is illegal (the token is absent, the
     target is taken or is a terminal); that the new state still
-    separates is not re-checked here: ``sp_solve_tj`` checks every state
-    and step of its walk once, at its exit.  The roles of s and t are
+    separates is not re-checked here: every walk is certified once, as a
+    whole, by ``solve_via_tj`` on the solve path and by
+    :func:`reconfigure_to_canonical` otherwise.  The roles of s and t are
     interchangeable, since every check the walker makes is symmetric."""
 
     def __init__(self, g: Graph, s: int, t: int, start: State):
@@ -526,19 +512,18 @@ class _Walker:
             return
         for x in sorted(self.cur - protected):
             nxt = self.cur - {x} | {d}
-            if is_separator(self.g, self.s, self.t, nxt):
+            if self.g.separates(self.s, self.t, nxt):
                 self.cur = nxt
                 self.seq.append(nxt)
                 return
         raise ContractViolationError(f"no token can reach {d}")
 
-    def jump_from(self, region: frozenset[int], d: int) -> bool:
-        """Jump the smallest token inside ``region`` onto d; False if the
-        region holds no token."""
-        inside = self.cur & region
-        if not inside:
+    def jump_from(self, tokens: frozenset[int], d: int) -> bool:
+        """Jump the smallest of ``tokens``, members of the state, onto d;
+        False if there are none."""
+        if not tokens:
             return False
-        self.move(min(inside), d)
+        self.move(min(tokens), d)
         return True
 
     def complete_pair(self, a: int, b: int) -> bool:
@@ -558,9 +543,12 @@ class _Walker:
 
 def _span_walk(tree: PSTree, w: _Walker, t: int, top: int) -> None:
     """Reconfigure a separator contained in the pieces of F[0] until it
-    holds both endpoints of F[0], where F lists the edges of the span of
-    the terminal t that descend from (or equal) top."""
-    F = [e for e in tree.espan(t) if tree.is_descendant(e, top)]
+    holds both endpoints of F[0], where F lists the series edges on the
+    root chain of the support of t from top down (none if top is not on
+    that chain)."""
+    chain = tree.ancestors(tree.support[t])
+    below = chain[chain.index(top):] if top in chain else []
+    F = [e for e in below if tree.op[e][0] == "S"]
 
     def held() -> int | None:
         return next((i for i, f in enumerate(F) if w.cur & set(tree.endpoints[f])), None)
@@ -589,7 +577,7 @@ def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
     # the branch's outer endpoint
     if supp_t in tree.op:
         for kid in tree.op[supp_t][2]:
-            if w.jump_from(tree.subtree_created(kid), tree.other_endpoint(kid, t)):
+            if w.jump_from(tree.created_under(kid, w.cur), tree.other_endpoint(kid, t)):
                 return
     # a token forming a parallel pair with t jumps to the endpoint
     # of the shared frame edge that t can still reach
@@ -597,10 +585,9 @@ def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
     for x in sorted(w.cur):
         if x not in tree.support:
             continue
-        sx = tree.support[x]
-        if tree.is_descendant(sx, supp_t) or tree.is_descendant(supp_t, sx):
-            continue
-        l = tree.lca(sx, supp_t)
+        # supports are series edges, so a parallel LCA has neither
+        # support on the root chain of the other
+        l = tree.lca(tree.support[x], supp_t)
         if tree.op[l][0] != "P" or frozenset(tree.endpoints[l]) not in frames:
             continue
         reach = w.reach_from(t)
@@ -620,7 +607,7 @@ def _enter_span(tree: PSTree, w: _Walker, t: int, F: list[int]) -> None:
             continue
         blocked = x if x not in reach else y
         sibling = next(k for k in tree.op[f][2] if blocked in tree.endpoints[k])
-        if w.jump_from(tree.subtree_created(sibling), blocked):
+        if w.jump_from(tree.created_under(sibling, w.cur), blocked):
             return
     raise ContractViolationError("span walk found no applicable move")
 
@@ -629,7 +616,7 @@ def _do_sequential(tree: PSTree, w: _Walker, v_st: frozenset[int], a: int | None
     for z in sorted(v_st):
         if z in w.cur:
             continue
-        if not w.jump_from(tree.subtree_created(tree.support[z]), z):
+        if not w.jump_from(tree.created_under(tree.support[z], w.cur), z):
             raise ContractViolationError("separator misses a parallel branch")
     if a is not None:
         w.move_any_to(a, protected=v_st)
@@ -646,7 +633,7 @@ def _do_nested(tree: PSTree, w: _Walker, a: int, z: int, f: int) -> None:
         _span_walk(tree, w, w.t, kid_z_outer)
         return
     # a reachable hub is guarded from the s side, otherwise from inside
-    if not w.jump_from(tree.subtree_created(kid_z_s if z in reach else kid_z_outer), z):
+    if not w.jump_from(tree.created_under(kid_z_s if z in reach else kid_z_outer, w.cur), z):
         raise ContractViolationError("no token on the branch next to the hub")
     w.move_any_to(a, protected=frozenset({z}))
 
@@ -661,7 +648,7 @@ def _do_serial(tree: PSTree, w: _Walker, a: int, z: int, l: int) -> None:
         return
     if (a in reach) != (z in reach):
         blocked = a if a not in reach else z
-        if not w.jump_from(tree.subtree_created(ct), blocked):
+        if not w.jump_from(tree.created_under(ct, w.cur), blocked):
             raise ContractViolationError("frame endpoint cut without a branch token")
         _span_walk(tree, w, w.t, ct)
         return
@@ -679,8 +666,8 @@ def _do_parallel(tree: PSTree, w: _Walker, a: int, b: int, l: int) -> None:
         return
     ct = tree.child_towards(l, tree.support[w.t])
     cs = tree.child_towards(l, tree.support[w.s])
-    a_t = w.cur & tree.subtree_created(ct)
-    a_s = w.cur & tree.subtree_created(cs)
+    a_t = tree.created_under(ct, w.cur)
+    a_s = tree.created_under(cs, w.cur)
     if w.cur == a_t:
         _span_walk(tree, w, w.t, ct)
         return
@@ -703,15 +690,16 @@ def reconfigure_to_canonical(
     """TJ sequence carrying a minimal st-separator to a separator that
     contains the canonical set M(s, t).
 
-    The input (a minimal separator) and the end state (contains M(s, t))
-    are checked here; the states in between are checked by
-    ``sp_solve_tj``'s one certificate check, not move by move."""
+    The input must be a minimal separator.  The walk is certified once,
+    as a TJ walk from ``a_sep`` to its last state, which contains
+    M(s, t)."""
     g = decomp.graph
     if not is_minimal_separator(g, s, t, a_sep):
         raise InputError("expects a minimal separator; shrink the input first")
     pair = _classify(decomp, s, t)
     canon = _canonical(decomp, s, t, pair[0], pair[1]).members
-    return _to_canonical(g, s, t, a_sep, pair, canon)
+    seq = _to_canonical(g, s, t, a_sep, pair, canon)
+    return certify(ReconfigInstance(g, s, t, Rule.TJ, a_sep, seq[-1]), seq)
 
 
 def _to_canonical(

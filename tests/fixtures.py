@@ -150,6 +150,12 @@ def random_series_parallel_graph(rng: random.Random, n: int) -> Graph:
     return Graph(nverts, [(u, v) for u, v in edges if u != v])
 
 
+def ladder_edges(m: int) -> list[tuple[int, int]]:
+    """The 2 x m ladder: rails 0..m-1 and m..2m-1, rungs i - (m + i)."""
+    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
+    return rails + [(i, m + i) for i in range(m)]
+
+
 def theta_graph(p: int, length: int) -> tuple[Graph, list[int], list[int]]:
     """θ(p, length): terminals 0 and 1 joined by p internally disjoint
     paths of ``length`` inner vertices each, with the paths' first and

@@ -9,7 +9,7 @@ from vsreconf.graph import MAX_VERTICES, Graph, complete_graph, cycle_graph, pat
 from vsreconf.instance import Rule
 from vsreconf.oracle import DEFAULT_STATE_CAP
 
-from fixtures import FIG1_S, FIG1_SA, FIG1_SB, FIG1_T, figure1_graph
+from fixtures import FIG1_S, FIG1_SA, FIG1_SB, FIG1_T, figure1_graph, ladder_edges
 
 
 def run(capsys, *argv):
@@ -311,6 +311,14 @@ class TestDecompose:
         gfile = write_graph(tmp_path, "p3.graph", path_graph(3))
         code, out, _ = run(capsys, "decompose", gfile)
         assert code == 0 and out.splitlines() == ["0-1", "1-2"]
+
+    def test_deep_construction_tree(self, capsys, tmp_path):
+        # the 2 x 1000 ladder's tree is about a thousand levels deep
+        gfile = write_graph(tmp_path, "ladder.graph", Graph(2000, ladder_edges(1000)))
+        code, out, _ = run(capsys, "decompose", gfile)
+        assert code == 0
+        (term,) = out.splitlines()
+        assert term.startswith("(P ") and term.count("(") == term.count(")") == 2997
 
 
 class TestExportDot:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from vsreconf.dispatch import solve
 from vsreconf.errors import InputError, NotApplicableError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
+from vsreconf.minsep import enumerate_minimal_separators
 from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import (
     brute_force_minimal_separators,
@@ -32,6 +34,7 @@ from fixtures import (
     PP_M,
     PP_S,
     PP_T,
+    ladder_edges,
     parallel_pair_graph,
     random_connected_graph,
     random_series_parallel_graph,
@@ -102,6 +105,22 @@ class TestConstructionTree:
         tree = build_ps_tree([(0, 1), (0, 2), (1, 2)])
         term = tree.to_term()
         assert term.startswith("(P ") and "S@2" in term
+
+    def test_term_matches_recursive_rendering(self):
+        def render(tree, eid):
+            u, v = tree.endpoints[eid]
+            if eid not in tree.op:
+                return f"{u}-{v}"
+            kind, created, (l, r) = tree.op[eid]
+            tag = f"S@{created}" if kind == "S" else "P"
+            return f"({tag} {u}-{v} {render(tree, l)} {render(tree, r)})"
+
+        rng = random.Random(11)
+        for _ in range(60):
+            g = random_series_parallel_graph(rng, rng.randint(3, 40))
+            g = Graph(g.n, _relabelled(rng, g.n, g.edges))
+            (tree,) = recognize_and_decompose(g).trees
+            assert tree.to_term() == render(tree, tree.root_edge)
 
     def test_disconnected_not_applicable(self):
         with pytest.raises(NotApplicableError):
@@ -182,12 +201,6 @@ def _relabelled(rng, n, edges):
     perm = list(range(n))
     rng.shuffle(perm)
     return sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges)
-
-
-def ladder_edges(m):
-    """The 2 x m ladder: rails 0..m-1 and m..2m-1, rungs i - (m + i)."""
-    rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]
-    return rails + [(i, m + i) for i in range(m)]
 
 
 def cocktail_party(q):
@@ -405,6 +418,32 @@ class TestReconfigureToCanonical:
                 for x, y in zip(seq, seq[1:]):
                     assert len(x - y) == 1 and len(y - x) == 1
             done += 1
+
+    def test_every_walk_on_relabelled_graphs_is_pinned(self):
+        # shuffled ids put frame vertices anywhere, so both role swaps and
+        # every entry move into a span get exercised; the digest pins the
+        # walks themselves
+        rng = random.Random(3)
+        h = hashlib.sha256()
+        walks = 0
+        for _ in range(80):
+            g = random_series_parallel_graph(rng, rng.randint(5, 14))
+            g = Graph(g.n, _relabelled(rng, g.n, g.edges))
+            d = recognize_and_decompose(g)
+            for s in g.vertices():
+                for t in g.vertices():
+                    if s == t or g.has_edge(s, t):
+                        continue
+                    canon = canonical_separator(d, s, t).members
+                    for a in enumerate_minimal_separators(g, s, t).sorted_members():
+                        seq = reconfigure_to_canonical(d, s, t, a)
+                        assert canon <= seq[-1]
+                        inst = ReconfigInstance(g, s, t, Rule.TJ, a, seq[-1])
+                        assert verify_sequence(inst, seq), (g.to_text(), s, t, a)
+                        h.update(f"{s} {t}: {[sorted(x) for x in seq]}\n".encode())
+                        walks += 1
+        assert walks == 31726
+        assert h.hexdigest() == "53fb320708461ace3801ac0d721e8bc04d1ef8728f2d1118318006b4202558b7"
 
 
 def _random_separator_pair(rng, g, s, t):
