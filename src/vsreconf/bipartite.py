@@ -116,8 +116,10 @@ def vsr_to_isr(
 ) -> IsrInstance:
     """Drop the foci of a peanut-like graph and complement both states.
 
-    Only valid when the states avoid the foci; vertex ids other than the
-    two largest are remapped densely in increasing order.
+    Only valid when the states avoid the foci.  Every id except the two
+    foci, which need not be the largest, is remapped densely in
+    increasing order (on the path 1-4-0-3-2 the foci are 1 and 3, and
+    0, 2, 4 become 0, 1, 2).
     """
     u, v = witness.u, witness.v
     for st in (source, target):

@@ -19,7 +19,7 @@ from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import solve_bfs
 from .separators import State, pad_state
-from .sequence import dedupe, jumps
+from .sequence import jumps
 from .tar_tj import solve_via_tj
 
 
@@ -67,9 +67,9 @@ _OUT_OF_CLASS = NotInScope("not two overlapping cliques or a five-cycle")
 
 
 def _c5_order(g: Graph) -> tuple[int, ...] | None:
+    """The cyclic order of the graph if it is the five-cycle, which is the
+    only simple 2-regular graph on five vertices."""
     if g.n != 5 or len(g.edges) != 5 or any(g.degree(v) != 2 for v in g.vertices()):
-        return None
-    if not g.is_connected():
         return None
     order = [0]
     prev = None
@@ -205,19 +205,20 @@ def _matched_to_canonical(
 
 def _tj_walk(
     instance: ReconfigInstance, ch: CutVertexCliques | MatchedCliques
-) -> ReconfigSequence:
-    """TJ walk between the distinct endpoints of an in-class instance,
-    before the solver's final check."""
+) -> tuple[ReconfigSequence, ReconfigSequence]:
+    """Half-walks from the distinct endpoints of an in-class instance to
+    states that share a separator."""
     g, s, t = instance.graph, instance.s, instance.t
     sa, sb = instance.source, instance.target
     if isinstance(ch, CutVertexCliques):
         # every state contains the cut vertex, and every superset of it is
         # a separator, so tokens jump directly to their destinations
-        return jumps(sa, sb)
+        return [sa], [sb]
     canonical = _canonical_matched_state(g, ch, s, t, len(sa))
-    fwd = _matched_to_canonical(instance, ch, sa, canonical)
-    bwd = _matched_to_canonical(instance, ch, sb, canonical)
-    return dedupe(fwd + bwd[::-1])
+    return (
+        _matched_to_canonical(instance, ch, sa, canonical),
+        _matched_to_canonical(instance, ch, sb, canonical),
+    )
 
 
 def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:

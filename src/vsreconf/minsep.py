@@ -25,7 +25,7 @@ from .errors import InputError, ResourceLimitError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, canon, check_state, shrink_to_minimal
-from .sequence import carry, dedupe, jumps
+from .sequence import carry
 from .tar_tj import solve_via_tj
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -86,9 +86,11 @@ def tame_solve(instance: ReconfigInstance) -> Solution:
     return solve_via_tj(instance, _tj_walk)
 
 
-def _tj_walk(tj: ReconfigInstance) -> ReconfigSequence | None:
-    """TJ walk between the distinct endpoints of a TJ instance, or None
-    when the overlap search does not reach the target."""
+def _tj_walk(tj: ReconfigInstance) -> tuple[ReconfigSequence, ReconfigSequence] | None:
+    """Half-walks from the distinct endpoints of a TJ instance to states
+    that share the target's minimal core: ``carry`` along the overlap
+    path from the source, and the target alone.  None when the overlap
+    search does not reach the target."""
     g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
     # a member above k overlaps none: no minimal separator holds another
     members = [m for m in enumerate_minimal_separators(g, s, t).sorted_members() if len(m) <= k]
@@ -112,6 +114,4 @@ def _tj_walk(tj: ReconfigInstance) -> ReconfigSequence | None:
     path = [sb]
     while (prev := parent[path[-1]]) is not None:
         path.append(prev)
-    walk = carry(path[::-1], tj.source)
-    # the last state holds sb, which no jump to the target touches
-    return dedupe(walk + jumps(walk[-1], tj.target))
+    return carry(path[::-1], tj.source), [tj.target]

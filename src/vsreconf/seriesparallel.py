@@ -26,7 +26,7 @@ from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, is_minimal_separator, shrink_to_minimal
-from .sequence import carry, certify, dedupe, jumps
+from .sequence import carry, certify
 from .tar_tj import solve_via_tj
 
 
@@ -325,7 +325,7 @@ class Serial:
 
 @dataclass(frozen=True)
 class Sequential:
-    a: int
+    a: int | None  # None when s and t are both root vertices
     v_st: frozenset[int]
 
 
@@ -336,37 +336,11 @@ class Nested:
 
 
 @dataclass(frozen=True)
-class RootBoth:
-    v_st: frozenset[int]
-
-
-@dataclass(frozen=True)
-class RootEdge:
-    a: int
-    v_st: frozenset[int]
-
-
-@dataclass(frozen=True)
-class RootNoEdge:
-    a: int
-    z: int
-
-
-@dataclass(frozen=True)
 class CutVertexSeparated:
     w: int
 
 
-PairClassification = (
-    Parallel
-    | Serial
-    | Sequential
-    | Nested
-    | RootBoth
-    | RootEdge
-    | RootNoEdge
-    | CutVertexSeparated
-)
+PairClassification = Parallel | Serial | Sequential | Nested | CutVertexSeparated
 
 
 def _classify_block(
@@ -375,11 +349,13 @@ def _classify_block(
     """Classification, a flag marking that the roles of s and t were
     swapped to fit the orientation conventions, and the anchor edge the
     walk toward M(s, t) works under: the lowest s-incident ancestor of
-    the support of t (Nested, RootNoEdge; roles as swapped), the LCA of
-    the two supports (Serial, Parallel), or None."""
+    the support of t (Nested; roles as swapped), the LCA of the two
+    supports (Serial, Parallel), or None (Sequential).  A pair with a
+    root terminal is Sequential or Nested, and one with two root
+    terminals is Sequential with no a."""
     roots = tree.root_vertices()
     if s in roots and t in roots:
-        return RootBoth(tree.vertices_supported_on(s, t)), False, None
+        return Sequential(None, tree.vertices_supported_on(s, t)), False, None
     swapped = t in roots
     if swapped:
         s, t = t, s
@@ -389,7 +365,7 @@ def _classify_block(
         v_st = tree.vertices_supported_on(s, t)
         if s_in or s in tree.endpoints[tree.support[t]]:
             a = tree.other_endpoint(tree.support[t], s)
-            return (RootEdge if s_in else Sequential)(a, v_st), swapped, None
+            return Sequential(a, v_st), swapped, None
         assert t in tree.endpoints[tree.support[s]]
         a = tree.other_endpoint(tree.support[s], t)
         return Sequential(a, v_st), not swapped, None
@@ -401,7 +377,7 @@ def _classify_block(
         if f is not None:
             kind, z, _ = tree.op[f]
             assert kind == "S" and z is not None
-            return (RootNoEdge if s_in else Nested)(tree.other_endpoint(f, outer), z), flip, f
+            return Nested(tree.other_endpoint(f, outer), z), flip, f
         assert not s_in  # a root terminal always has an incident ancestor
 
     l = tree.lca(tree.support[s], tree.support[t])
@@ -464,16 +440,18 @@ def _canonical(
         members: State = frozenset({kind.w})
     elif isinstance(kind, Parallel):
         members = frozenset({kind.a, kind.b})
-    elif isinstance(kind, (Serial, Nested, RootNoEdge)):
+    elif isinstance(kind, (Serial, Nested)):
         members = frozenset({kind.a, kind.z})
     else:
-        assert tree is not None and isinstance(kind, (RootBoth, Sequential, RootEdge))
+        assert tree is not None and isinstance(kind, Sequential)
         eps = tree.epsilon(s, t)
-        members = kind.v_st if isinstance(kind, RootBoth) else kind.v_st | {kind.a}
+        members = kind.v_st if kind.a is None else kind.v_st | {kind.a}
     if not decomp.graph.separates(s, t, members):
         raise ContractViolationError("canonical set fails the separator check")
-    expected = eps + (1 if isinstance(kind, (RootBoth, CutVertexSeparated)) else 2)
-    if len(members) != expected:
+    single = isinstance(kind, CutVertexSeparated) or (
+        isinstance(kind, Sequential) and kind.a is None
+    )
+    if len(members) != eps + (1 if single else 2):
         raise ContractViolationError("canonical separator has unexpected size")
     return CanonicalSeparator(members, kind, eps)
 
@@ -717,9 +695,9 @@ def _to_canonical(
 
     if isinstance(kind, CutVertexSeparated):
         w.move_any_to(kind.w)
-    elif isinstance(kind, (RootBoth, RootEdge, Sequential)):
-        _do_sequential(tree, w, kind.v_st, None if isinstance(kind, RootBoth) else kind.a)
-    elif isinstance(kind, (Nested, RootNoEdge)):
+    elif isinstance(kind, Sequential):
+        _do_sequential(tree, w, kind.v_st, kind.a)
+    elif isinstance(kind, Nested):
         _do_nested(tree, w, kind.a, kind.z, anchor)
     elif isinstance(kind, Serial):
         _do_serial(tree, w, kind.a, kind.z, anchor)
@@ -735,34 +713,36 @@ def _to_canonical(
 # full solver
 
 
-def _tj_walk(decomp: SPDecomposition, instance: ReconfigInstance) -> ReconfigSequence:
-    """TJ walk between the distinct endpoints of a TJ instance on the
-    decomposed graph, before the solver's final check.
+def _tj_walk(
+    decomp: SPDecomposition, instance: ReconfigInstance
+) -> tuple[ReconfigSequence, ReconfigSequence]:
+    """Half-walks from the two distinct endpoints of a TJ instance on the
+    decomposed graph to states that share a separator.
 
-    The pair is classified once.  A pair split by a cut vertex is walked
-    through states holding it.  Otherwise M(s, t) is built once, and
-    each endpoint's minimal core (from ``shrink_to_minimal``, minimal by
-    construction, so not re-checked) is carried to a state containing
-    it, the surplus tokens riding along through ``carry``."""
+    The pair is classified once.  A pair split by a cut vertex shares
+    it: each endpoint takes it in one jump, and any state holding it is
+    a separator.  Otherwise M(s, t) is built once, and each endpoint's
+    minimal core (from ``shrink_to_minimal``, minimal by construction,
+    so not re-checked) is carried to a state containing it, the surplus
+    tokens riding along through ``carry``."""
     g, s, t = instance.graph, instance.s, instance.t
-    a, b = instance.source, instance.target
     pair = _classify(decomp, s, t)
     tree, kind = pair[0], pair[1]
     if isinstance(kind, CutVertexSeparated):
-        # different blocks: any state holding a separating cut vertex is
-        # a separator, so one token anchors it while the rest jump freely
         w = kind.w
 
-        def anchor(x: State) -> State:
-            """x, or x with its smallest token swapped for the cut vertex."""
-            return x if w in x else x - {min(x)} | {w}
+        def half(x: State) -> ReconfigSequence:
+            """x, then x with its smallest token swapped for the cut vertex."""
+            return [x, x if w in x else x - {min(x)} | {w}]
 
-        return dedupe([a] + jumps(anchor(a), anchor(b)) + [b])
-    canon = _canonical(decomp, s, t, tree, kind).members
-    fwd = carry(_to_canonical(g, s, t, shrink_to_minimal(g, s, t, a), pair, canon), a)
-    bwd = carry(_to_canonical(g, s, t, shrink_to_minimal(g, s, t, b), pair, canon), b)
-    # both ends contain M(s, t), which no jump of the middle walk touches
-    return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
+    else:
+        canon = _canonical(decomp, s, t, tree, kind).members
+
+        def half(x: State) -> ReconfigSequence:
+            core = shrink_to_minimal(g, s, t, x)
+            return carry(_to_canonical(g, s, t, core, pair, canon), x)
+
+    return half(instance.source), half(instance.target)
 
 
 def sp_solve_tj(instance: ReconfigInstance) -> Solution:
@@ -772,7 +752,7 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     Pairs split by a cut vertex route both endpoints through states
     containing it; pairs inside one block (which must be series-parallel)
     are canonicalized toward M(s, t), the surplus tokens carried along by
-    ``carry``, then bridged.  Recognition runs first, before any other
+    ``carry``; ``solve_via_tj`` joins the two halves.  Recognition runs first, before any other
     work, equal endpoints included: a graph that is not series-parallel
     is refused even when the answer is the one-state walk.
     """

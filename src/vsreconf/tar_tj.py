@@ -16,7 +16,7 @@ from .errors import ContractViolationError, InvalidInstanceError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, check_state, is_minimal_separator, pad_state, shrink_to_minimal
-from .sequence import certify, dedupe, tar_steps
+from .sequence import certify, dedupe, jumps, tar_steps
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
@@ -191,11 +191,17 @@ def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
 
 
 def solve_via_tj(
-    instance: ReconfigInstance, tj_walk: Callable[[ReconfigInstance], ReconfigSequence | None]
+    instance: ReconfigInstance,
+    tj_walk: Callable[[ReconfigInstance], tuple[ReconfigSequence, ReconfigSequence] | None],
 ) -> Solution:
-    """Answer a TJ or TAR instance from ``tj_walk``, which builds an
-    unchecked TJ walk between the distinct endpoints of a TJ instance, or
-    returns None when there is none.
+    """Answer a TJ or TAR instance from ``tj_walk``, which takes a TJ
+    instance with distinct endpoints and returns two unchecked TJ
+    half-walks, from the source and from the target, whose last states
+    hold a common separator, or None when there is no walk.
+
+    The halves are joined here and nowhere else: ``jumps`` between their
+    last states, which moves no token of the common separator, then the
+    second half in reverse.
 
     None is a NO, for TJ and TAR alike.  A TAR instance is also NO when
     trivially negative; otherwise its equivalent TJ instance is walked,
@@ -203,16 +209,24 @@ def solve_via_tj(
     by the conversion's bridges.  The result is certified once, against
     the instance given.
     """
+
+    def walk(tj: ReconfigInstance) -> ReconfigSequence | None:
+        """The joined TJ walk of a TJ instance, or None."""
+        halves = ([tj.source], [tj.target]) if tj.source == tj.target else tj_walk(tj)
+        if halves is None:
+            return None
+        fwd, bwd = halves
+        return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
+
     if instance.source == instance.target:
         return Solution(True, certify(instance, [instance.source]))
     if instance.rule is Rule.TJ:
-        walk = tj_walk(instance)
-        return Solution(False) if walk is None else Solution(True, certify(instance, walk))
+        mid = walk(instance)
+        return Solution(False) if mid is None else Solution(True, certify(instance, mid))
     if is_trivially_negative_tar(instance):
         return Solution(False)
     conv = _tar_to_tj(instance)
-    tj = conv.tj_instance
-    mid = [tj.source] if tj.source == tj.target else tj_walk(tj)
+    mid = walk(conv.tj_instance)
     if mid is None:
         return Solution(False)
     seq = conv.source_bridge + tj_to_tar_sequence(mid) + conv.target_bridge[::-1]

@@ -124,6 +124,17 @@ class TestInstanceTranslation:
             assert back.source == i_a and back.target == i_a
             done += 1
 
+    def test_foci_need_not_be_the_largest_ids(self):
+        # the docstring's example: on the path 1-4-0-3-2 the foci are 1
+        # and 3, and the kept ids 0, 2, 4 become 0, 1, 2
+        g = Graph(5, [(1, 4), (4, 0), (0, 3), (3, 2)])
+        w = is_peanut_like(g)
+        assert (w.u, w.v) == (1, 3)
+        isr = vsr_to_isr(g, w, Rule.TJ, F(0), F(0))
+        assert isr.graph == Graph(3, [(0, 2)])
+        assert (isr.part_a, isr.part_b) == (F(2), F(0, 1))
+        assert isr.source == F(1, 2)
+
     def test_foci_in_state_rejected(self):
         g = path_graph(4)
         w = is_peanut_like(g)

@@ -7,7 +7,7 @@ import pytest
 from vsreconf.cli import build_parser, format_instance, load_instance, main
 from vsreconf.graph import MAX_VERTICES, Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import Rule
-from vsreconf.oracle import DEFAULT_STATE_CAP
+from vsreconf.oracle import DEFAULT_STATE_CAP, solve_bfs
 
 from fixtures import FIG1_S, FIG1_SA, FIG1_SB, FIG1_T, figure1_graph, ladder_edges
 
@@ -157,6 +157,21 @@ class TestOracle:
         code, out, err = run(capsys, command, inst, "--state-cap", cap)
         assert code == 1 and out == ""
         assert "usage error" in err and "positive integer" in err
+
+    def test_fig1_tj_yes_shortest_sequence_verifies(self, capsys, tmp_path):
+        inst = fig1_instance(tmp_path, "TJ")
+        code, out, _ = run(capsys, "oracle", inst, "--sequence")
+        lines = out.splitlines()
+        assert code == 0 and lines[0] == "YES"
+        assert len(lines) - 1 == solve_bfs(load_instance(inst)).distance + 1
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text("\n".join(lines[1:]) + "\n")
+        code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 0 and out.strip() == "VALID"
+
+    def test_fig1_ts_no(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "oracle", fig1_instance(tmp_path, "TS"))
+        assert code == 0 and out.splitlines() == ["NO"]
 
     def test_verify_rejects_gap(self, capsys, tmp_path):
         inst = fig1_instance(tmp_path, "TJ")
@@ -424,6 +439,44 @@ class TestInstanceFiles:
         )
         code, out, err = run(capsys, "solve", str(p))
         assert code == 2 and out == "" and "error: bad" in err
+
+
+class TestRefusals:
+    """Every boundary refusal exits 2 through ``solve`` with its message."""
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"rule": "XY"}, "unknown rule 'XY'"),
+        ({"t": "0"}, "terminals must be distinct"),
+        ({"rule": "TAR"}, "TAR requires a positive bound k"),
+        ({"rule": "TAR", "k": "0"}, "TAR requires a positive bound k"),
+        ({"rule": "TAR", "k": "1"}, "endpoint state exceeds the TAR bound"),
+        ({"k": "2"}, "TJ takes no bound k"),
+        ({"rule": "TS", "k": "2"}, "TS takes no bound k"),
+        ({"target": "1 2 5"}, "TJ needs equal-size endpoint states"),
+    ])
+    def test_instance(self, capsys, tmp_path, fields, message):
+        lines = {"graph": "6 0-1 1-2 2-3 3-4 4-5 5-0", "s": "0", "t": "3", "rule": "TJ",
+                 "source": "1 5", "target": "2 4"}
+        lines.update(fields)
+        p = tmp_path / "bad.inst"
+        p.write_text("".join(f"{key} {value}\n" for key, value in lines.items()))
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("text, message", [
+        ("# nothing\n", "empty graph description"),
+        ("4\n", "expected 'n m' header, got '4'"),
+        ("four 1\n0 1\n", "bad header 'four 1'"),
+        ("4 2\n0 1\n", "header promises 2 edges, found 1"),
+        ("4 1\n0 1 2\n", "bad edge line '0 1 2'"),
+        ("4 1\n0 x\n", "bad edge line '0 x'"),
+    ])
+    def test_graph_file(self, capsys, tmp_path, text, message):
+        (tmp_path / "bad.graph").write_text(text)
+        p = tmp_path / "bad.inst"
+        p.write_text("graph bad.graph\ns 0\nt 2\nrule TJ\nsource 1\ntarget 1\n")
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
 
 
 def test_readme_cli_table_lists_every_subcommand():

@@ -298,3 +298,26 @@ def test_minimum_separator_size_against_brute_force():
             family = brute_force_minimal_separators(g, s, t)
             expected = min(len(f) for f in family)
             assert minimum_separator_size(g, s, t) == expected
+
+
+def test_minimum_separator_size_and_is_separator_match_networkx():
+    # graphs with isolated vertices and several components included
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    seen_cut = seen_apart = 0
+    for _ in range(60):
+        n = rng.randint(3, 14)
+        p = rng.choice([0.1, 0.2, 0.35, 0.5])
+        g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+        h = nx.Graph(g.edges)
+        h.add_nodes_from(range(n))
+        for s, t in nonadjacent_pairs(g):
+            size = minimum_separator_size(g, s, t)
+            assert size == nx.node_connectivity(h, s, t), (g.to_text(), s, t)
+            seen_apart += size == 0
+            free = [v for v in range(n) if v not in (s, t)]
+            sep = frozenset(rng.sample(free, rng.randint(0, n - 2)))
+            cut = not nx.has_path(h.subgraph(set(range(n)) - sep), s, t)
+            assert is_separator(g, s, t, sep) == cut, (g.to_text(), s, t, sep)
+            seen_cut += cut and size > 0
+    assert seen_cut > 100 and seen_apart > 100, (seen_cut, seen_apart)

@@ -220,6 +220,16 @@ class TestVerifySequence:
         res = verify_sequence(inst, [frozenset({1, 3}), frozenset({1, 3})])
         assert not res and "target" in res.reason
 
+    def test_wrong_first_state(self):
+        inst = c5_instance(Rule.TJ, {1, 3}, {1, 4})
+        res = verify_sequence(inst, [frozenset({1, 4})])
+        assert not res and res.reason == "first state differs from source"
+
+    def test_terminal_in_state(self):
+        inst = c5_instance(Rule.TJ, {1, 3}, {1, 3})
+        res = verify_sequence(inst, [frozenset({1, 3}), frozenset({0, 3}), frozenset({1, 3})])
+        assert not res and res.reason == "state 1 contains a terminal"
+
     def test_non_separator_state(self):
         inst = c5_instance(Rule.TAR, {1, 3}, {1, 3}, k=3)
         res = verify_sequence(

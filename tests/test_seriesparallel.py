@@ -17,10 +17,10 @@ from vsreconf.separators import (
 )
 from vsreconf.seriesparallel import (
     CutVertexSeparated,
+    Nested,
     Parallel,
     PSTree,
-    RootBoth,
-    RootNoEdge,
+    Sequential,
     build_ps_tree,
     canonical_separator,
     classify_pair,
@@ -35,6 +35,7 @@ from fixtures import (
     PP_S,
     PP_T,
     ladder_edges,
+    nonadjacent_pairs,
     parallel_pair_graph,
     random_connected_graph,
     random_series_parallel_graph,
@@ -282,11 +283,11 @@ class TestClassification:
     def test_c4_pair(self):
         d = recognize_and_decompose(cycle_graph(4))
         kind = classify_pair(d, 1, 3)
-        assert kind == RootNoEdge(a=0, z=2)
+        assert kind == Nested(a=0, z=2)
 
     def test_k23_root_both(self):
         d = recognize_and_decompose(k23())
-        assert classify_pair(d, 0, 1) == RootBoth(F(2, 3, 4))
+        assert classify_pair(d, 0, 1) == Sequential(None, F(2, 3, 4))
 
     def test_parallel_fixture(self):
         d = recognize_and_decompose(parallel_pair_graph())
@@ -302,6 +303,33 @@ class TestClassification:
         d = recognize_and_decompose(cycle_graph(4))
         with pytest.raises(InputError):
             classify_pair(d, 0, 1)
+
+    def test_random_graphs_show_every_shape(self):
+        # each shape, a pair with a root terminal in the Sequential and
+        # Nested shapes, and Sequential both with and without a, arise
+        # on random graphs: a random block with a pendant vertex
+        rng = random.Random(5)
+        seen = set()
+        for _ in range(40):
+            g = random_series_parallel_graph(rng, rng.randint(4, 12))
+            g = Graph(g.n + 1, _relabelled(rng, g.n, g.edges) + [(rng.randrange(g.n), g.n)])
+            d = recognize_and_decompose(g)
+            for s, t in nonadjacent_pairs(g):
+                kind = classify_pair(d, s, t)
+                tree = d.tree_for(s, t)
+                rooted = tree is not None and bool({s, t} & tree.root_vertices())
+                seen.add((type(kind).__name__, rooted, getattr(kind, "a", 0) is None))
+                canonical_separator(d, s, t)  # separates and has the predicted size
+        assert seen == {
+            ("CutVertexSeparated", False, False),
+            ("Parallel", False, False),
+            ("Serial", False, False),
+            ("Sequential", False, False),
+            ("Sequential", True, False),
+            ("Sequential", True, True),
+            ("Nested", False, False),
+            ("Nested", True, False),
+        }, seen
 
 
 class TestCanonicalSeparator:
