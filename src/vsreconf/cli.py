@@ -190,13 +190,16 @@ def _print_answer(sol: Solution, with_sequence: bool) -> None:
             print(" ".join(map(str, sorted(st))))
 
 
-def _load_sequence(path: str) -> ReconfigSequence:
+def _load_sequence(path: str, g: Graph) -> ReconfigSequence:
     seq: ReconfigSequence = []
     for raw in _read(path).splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        seq.append(_parse_ids(line.split(), "sequence state"))
+        state = _parse_ids(line.split(), "sequence state")
+        for v in state:
+            g.check_vertex(v)
+        seq.append(state)
     if not seq:
         raise InputError(f"no states in {path}")
     return seq
@@ -214,7 +217,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     inst = load_instance(args.instance)
     if args.verify:
-        seq = _load_sequence(args.verify)
+        seq = _load_sequence(args.verify, inst.graph)
         check = verify_sequence(inst, seq)
         print("VALID" if check else f"INVALID: {check.reason}")
         return 0

@@ -14,12 +14,23 @@ a minimal st-separator, so none is tested:
 
 Each expansion is one ``Graph.boundary`` search of t's component:
 O(|F| n (n + m)) for a family of |F| separators.
+
+The TJ walk of ``tame_solve`` enumerates nothing when the minimal cores
+of its endpoints already overlap (their union has at most k + 1
+vertices).  Otherwise its overlap search finds the neighbours of a
+member of k vertices by lookup: an index of the members of at most k
+vertices, built once in O(sum of |b|), answers each in
+sum over member sizes z of C(k, z - 1) lookups.  Smaller members, and
+every member when the lookups would outnumber the members, are scanned.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import combinations
+from math import comb
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
@@ -78,8 +89,10 @@ def tame_solve(instance: ReconfigInstance) -> Solution:
     walks the path found, and TAR goes through ``solve_via_tj``, so a
     TAR certificate passes through the primed states.
 
-    After enumeration, the overlap BFS scans the |F| members once per
-    node it expands, O(|F|^2) union tests at most, and stops at the target.
+    Endpoints whose cores overlap are joined without enumeration.
+    Otherwise the overlap BFS stops at the target; a member of k vertices
+    costs sum over member sizes z of C(k, z - 1) index lookups, after an
+    O(sum of |b|) index build, and any other member one scan of the family.
     """
     if instance.rule is Rule.TS:
         raise InputError("tame solver handles TAR and TJ only")
@@ -92,9 +105,19 @@ def _tj_walk(tj: ReconfigInstance) -> tuple[ReconfigSequence, ReconfigSequence] 
     path from the source, and the target alone.  None when the overlap
     search does not reach the target."""
     g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
-    # a member above k overlaps none: no minimal separator holds another
-    members = [m for m in enumerate_minimal_separators(g, s, t).sorted_members() if len(m) <= k]
     sa, sb = (shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target))
+    if len(sa | sb) <= k + 1:
+        # the search below would dequeue sa first and meet sb among its
+        # neighbours, whatever else the family holds
+        return carry([sa, sb] if sa != sb else [sa], tj.source), [tj.target]
+    # a member above k overlaps none: no minimal separator holds another
+    fam = enumerate_minimal_separators(g, s, t)
+    members = sorted((m for m in fam.members if len(m) <= k), key=canon)
+    # a neighbour b of a k-member a has one vertex y outside a, so the
+    # index files b's position under b - {y}, a subset of a of size |b| - 1
+    sizes = {len(m) for m in members}
+    lookups = sum(comb(k, z - 1) for z in sizes)
+    index: dict[State, list[int]] | None = None
 
     # BFS in the overlap graph, deterministic ordering, stopping at sb;
     # the size test spares most unions
@@ -102,8 +125,26 @@ def _tj_walk(tj: ReconfigInstance) -> tuple[ReconfigSequence, ReconfigSequence] 
     queue = deque([sa])
     while queue and sb not in parent:
         cur = queue.popleft()
-        for nxt in members:
-            if nxt not in parent and (len(cur) + len(nxt) <= k + 1 or len(cur | nxt) <= k + 1):
+        if len(cur) == k and lookups < len(members):
+            if index is None:
+                index = defaultdict(list)
+                for i, b in enumerate(members):
+                    for y in b:
+                        index[b - {y}].append(i)
+            found = {
+                i
+                for z in sizes
+                for sub in combinations(cur, z - 1)
+                for i in index.get(frozenset(sub), ())
+            }
+            nbrs: Iterable[State] = [members[i] for i in sorted(found)]
+        else:
+            nbrs = (
+                b for b in members
+                if b not in parent and (len(cur) + len(b) <= k + 1 or len(cur | b) <= k + 1)
+            )
+        for nxt in nbrs:
+            if nxt not in parent:
                 parent[nxt] = cur
                 if nxt == sb:
                     break

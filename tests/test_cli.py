@@ -180,6 +180,17 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
         assert code == 0 and out.startswith("INVALID")
 
+    @pytest.mark.parametrize("states", ["1\n9\n2\n", "1\n9\n"])
+    def test_verify_out_of_range_id_exit_2(self, capsys, tmp_path, states):
+        # an unknown id is bad input wherever it sits in the file, not a
+        # failed check of the walk
+        inst = write_instance(tmp_path, "p4.inst", path_graph(4), 0, 3, "TJ", {1}, {2})
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text(states)
+        code, out, err = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 2 and out == ""
+        assert err.strip() == "error: vertex id 9 outside [0,4)"
+
 
 class TestSeparators:
     def test_c4(self, capsys, tmp_path):

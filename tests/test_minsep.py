@@ -1,7 +1,10 @@
+import itertools
 import random
+from collections import deque
 
 import pytest
 
+from vsreconf import minsep
 from vsreconf.errors import InputError, ResourceLimitError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
@@ -10,8 +13,11 @@ from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import (
     brute_force_minimal_separators,
     brute_force_separators,
+    canon,
     is_minimal_separator,
+    shrink_to_minimal,
 )
+from vsreconf.sequence import carry
 
 from fixtures import (
     all_labeled_connected_graphs,
@@ -197,3 +203,129 @@ class TestTameMatchesOracle:
                 else:
                     no += 1
         assert yes and (no or rule is Rule.TJ)
+
+
+def reference_tj_walk(tj, dequeued=None):
+    """The overlap search as a plain scan: enumerate the family, then
+    test every member of size <= k against each member dequeued.  The
+    members dequeued are appended to ``dequeued`` when it is given."""
+    g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
+    members = [m for m in enumerate_minimal_separators(g, s, t).sorted_members() if len(m) <= k]
+    sa, sb = (shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target))
+    parent = {sa: None}
+    queue = deque([sa])
+    while queue and sb not in parent:
+        cur = queue.popleft()
+        if dequeued is not None:
+            dequeued.append(cur)
+        for nxt in members:
+            if nxt not in parent and (len(cur) + len(nxt) <= k + 1 or len(cur | nxt) <= k + 1):
+                parent[nxt] = cur
+                if nxt == sb:
+                    break
+                queue.append(nxt)
+    if sb not in parent:
+        return None
+    path = [sb]
+    while (prev := parent[path[-1]]) is not None:
+        path.append(prev)
+    return carry(path[::-1], tj.source), [tj.target]
+
+
+def padded(rng, g, s, t, core, size):
+    """``core`` plus random non-terminal vertices, ``size`` in all."""
+    free = [v for v in g.vertices() if v not in core and v not in (s, t)]
+    return core | frozenset(rng.sample(free, size - len(core)))
+
+
+class TestTjWalkMatchesScan:
+    """``minsep._tj_walk`` against the plain scan: the forced path and
+    the index lookups return the walk the scan returns."""
+
+    def test_forced_path_enumerates_nothing(self, monkeypatch):
+        rng = random.Random(29)
+        cases = [ReconfigInstance(cycle_graph(6), 0, 3, Rule.TJ, F(1, 2, 5), F(1, 4, 5))]
+        same_core = 0
+        while len(cases) < 300:
+            g = random_connected_graph(rng, rng.randint(5, 10), rng.uniform(0.2, 0.6))
+            s, t = rng.choice(list(nonadjacent_pairs(g)))
+            fam = sorted(enumerate_minimal_separators(g, s, t).members, key=canon)
+            a, b = rng.choice(fam), rng.choice(fam)
+            k = max(len(a), len(b)) + rng.randint(0, 2)
+            if k > g.n - 2:
+                continue
+            tj = ReconfigInstance(
+                g, s, t, Rule.TJ, padded(rng, g, s, t, a, k), padded(rng, g, s, t, b, k)
+            )
+            cores = [shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target)]
+            if tj.source != tj.target and len(cores[0] | cores[1]) <= k + 1:
+                cases.append(tj)
+                same_core += cores[0] == cores[1]
+        assert 30 <= same_core <= 270
+        want = [reference_tj_walk(tj) for tj in cases]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("forced path enumerated the family")
+
+        monkeypatch.setattr(minsep, "enumerate_minimal_separators", refuse)
+        for tj, w in zip(cases, want):
+            assert minsep._tj_walk(tj) == w, (tj.graph.to_text(), tj.s, tj.t, tj.source, tj.target)
+
+    def test_random_walks_equal_the_scan(self, monkeypatch):
+        walk = minsep._tj_walk
+        looked_up: set = set()
+        enumerated = []
+        # walks, walks that search the family, and members dequeued by
+        # lookup and by scan
+        counts = {"walks": 0, "searched": 0, "lookup": 0, "scan": 0}
+
+        def counting_combinations(cur, r):
+            looked_up.add(cur)
+            return itertools.combinations(cur, r)
+
+        def counting_enumerate(*args):
+            enumerated.append(args)
+            return enumerate_minimal_separators(*args)
+
+        def checked_walk(tj):
+            looked_up.clear()
+            enumerated.clear()
+            dequeued = []
+            want = reference_tj_walk(tj, dequeued)
+            assert walk(tj) == want, (tj.graph.to_text(), tj.s, tj.t, tj.source, tj.target)
+            counts["walks"] += 1
+            if enumerated:
+                counts["searched"] += 1
+                counts["lookup"] += len(looked_up)
+                counts["scan"] += len(set(dequeued) - looked_up)
+            return want
+
+        monkeypatch.setattr(minsep, "combinations", counting_combinations)
+        monkeypatch.setattr(minsep, "enumerate_minimal_separators", counting_enumerate)
+        monkeypatch.setattr(minsep, "_tj_walk", checked_walk)
+        rng = random.Random(31)
+        while counts["walks"] < 1500 or counts["searched"] < 250:
+            g = random_connected_graph(rng, rng.randint(5, 12), rng.uniform(0.15, 0.5))
+            s, t = rng.choice(list(nonadjacent_pairs(g)))
+            fam = sorted(enumerate_minimal_separators(g, s, t).members, key=canon)
+            # cores far apart, so that more walks search the family
+            a = rng.choice(fam)
+            spread = {x: len(a | x) - max(len(a), len(x)) for x in fam}
+            b = rng.choice([x for x in fam if spread[x] == max(spread.values())])
+            k = max(len(a), len(b)) + rng.randint(0, 3)
+            if k + 1 > g.n - 2:
+                continue
+            if rng.random() < 0.5:
+                inst = ReconfigInstance(
+                    g, s, t, Rule.TJ, padded(rng, g, s, t, a, k), padded(rng, g, s, t, b, k)
+                )
+            else:
+                # TAR with bound k + 1 walks TJ instances of k tokens
+                sa = padded(rng, g, s, t, a, rng.randint(len(a), k + 1))
+                sb = padded(rng, g, s, t, b, rng.randint(len(b), k + 1))
+                inst = ReconfigInstance(g, s, t, Rule.TAR, sa, sb, k + 1)
+            res = tame_solve(inst)
+            if res.reachable:
+                assert verify_sequence(inst, res.sequence)
+        assert counts["walks"] - counts["searched"] >= 1000, counts
+        assert counts["lookup"] >= 100 and counts["scan"] >= 100, counts
