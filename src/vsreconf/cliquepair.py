@@ -5,8 +5,9 @@ neither three pairwise non-adjacent vertices nor an induced diamond is
 either (i) two cliques sharing a single cut vertex, (ii) two disjoint
 cliques whose cross edges form a matching, or (iii) the five-cycle.  On
 these graphs TAR and TJ instances are always reconfigurable (unless a
-TAR endpoint is stuck by minimality) and TS instances reduce to token
-counting per clique plus a passage-edge condition.
+TAR endpoint is stuck by minimality), by the cut-vertex rule of
+``solve_via_tj`` on shape (i) and a walk of its own on shape (ii), and
+TS instances reduce to token counting per clique plus a passage edge.
 """
 
 from __future__ import annotations
@@ -204,16 +205,12 @@ def _matched_to_canonical(
 
 
 def _tj_walk(
-    instance: ReconfigInstance, ch: CutVertexCliques | MatchedCliques
+    instance: ReconfigInstance, ch: MatchedCliques
 ) -> tuple[ReconfigSequence, ReconfigSequence]:
-    """Half-walks from the distinct endpoints of an in-class instance to
-    states that share a separator."""
+    """Half-walks from the distinct endpoints of a matched-cliques
+    instance to the canonical state."""
     g, s, t = instance.graph, instance.s, instance.t
     sa, sb = instance.source, instance.target
-    if isinstance(ch, CutVertexCliques):
-        # every state contains the cut vertex, and every superset of it is
-        # a separator, so tokens jump directly to their destinations
-        return [sa], [sb]
     canonical = _canonical_matched_state(g, ch, s, t, len(sa))
     return (
         _matched_to_canonical(instance, ch, sa, canonical),
@@ -224,7 +221,9 @@ def _tj_walk(
 def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
     """Always-YES constructive solver for TJ (and TAR via conversion) on
     the two-clique class; the only NO answers are stuck TAR endpoints.
-    The five-cycle's state space is tiny, so exhaustive search answers it."""
+    The cut vertex separates the non-adjacent terminals, so
+    ``solve_via_tj`` asks for walks on matched cliques only.  The
+    five-cycle's state space is tiny, so exhaustive search answers it."""
     ch = _require_class(instance.graph)
     if instance.rule is Rule.TS:
         raise InputError("TS instances are handled by solve_ts_3p1d")

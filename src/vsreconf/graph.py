@@ -169,61 +169,73 @@ class Graph:
             seen |= vs
         return cuts
 
-    def blocks(self) -> list[frozenset[Edge]]:
-        """Biconnected components as edge sets (bridges come out as
-        single-edge blocks), from one iterative Hopcroft-Tarjan lowpoint
-        DFS: a block closes at the parent of v when low[v] >= disc[parent].
-        ``disc`` and ``low`` are lists indexed by vertex id, -1 while
-        undiscovered.  Ordered by smallest edge, which orders them as
-        their sorted edge lists would, since blocks share no edge."""
+    def _lowpoints(self, roots: Iterable[int]) -> tuple[list[int], list[int], list[int], list[int]]:
+        """One iterative Hopcroft-Tarjan lowpoint DFS from each root not yet
+        reached: the discovery order, and per vertex id ``disc`` (-1 if
+        unreached), ``low`` and ``parent`` (-1 for a root)."""
+        adj = self._adj
         disc = [-1] * self.n
         low = [0] * self.n
-        timer = 0
-        estack: list[Edge] = []
-        out: list[frozenset[Edge]] = []
-
-        for root in range(self.n):
+        parent = [-1] * self.n
+        order: list[int] = []
+        for root in roots:
             if disc[root] >= 0:
                 continue
-            disc[root] = low[root] = timer
-            timer += 1
-            stack: list[tuple[int, int | None, Iterator[int]]] = [
-                (root, None, iter(self._adj[root]))
-            ]
+            disc[root] = low[root] = len(order)
+            order.append(root)
+            stack: list[tuple[int, Iterator[int]]] = [(root, iter(adj[root]))]
             while stack:
-                v, parent, it = stack[-1]
-                advanced = False
+                v, it = stack[-1]
                 for w in it:
-                    if w == parent:
-                        continue
-                    if disc[w] >= 0:
-                        if disc[w] < disc[v]:
-                            estack.append(_norm_edge(v, w))
-                            if disc[w] < low[v]:
-                                low[v] = disc[w]
-                    else:
-                        estack.append(_norm_edge(v, w))
-                        disc[w] = low[w] = timer
-                        timer += 1
-                        stack.append((w, v, iter(self._adj[w])))
-                        advanced = True
+                    if disc[w] < 0:
+                        parent[w] = v
+                        disc[w] = low[w] = len(order)
+                        order.append(w)
+                        stack.append((w, iter(adj[w])))
                         break
-                if not advanced:
+                    if w != parent[v] and disc[w] < low[v]:
+                        low[v] = disc[w]
+                else:
                     stack.pop()
-                    if stack:
-                        pv = stack[-1][0]
-                        if low[v] < low[pv]:
-                            low[pv] = low[v]
-                        if low[v] >= disc[pv]:
-                            block = []
-                            e = _norm_edge(pv, v)
-                            while estack:
-                                f = estack.pop()
-                                block.append(f)
-                                if f == e:
-                                    break
-                            out.append(frozenset(block))
-        return sorted(out, key=min)
+                    p = parent[v]
+                    if p >= 0 and low[v] < low[p]:
+                        low[p] = low[v]
+        return order, disc, low, parent
+
+    def cut_vertices_between(self, s: int, t: int) -> list[int]:
+        """The vertices other than s and t whose removal separates s from
+        t, ascending; empty when t is unreachable from s.  One lowpoint
+        DFS from s, then a walk up t's tree path: v separates when its
+        child c on the path has low[c] >= disc[v], as no back edge leaves
+        the subtree of c, which holds t, for a proper ancestor of v."""
+        _, disc, low, parent = self._lowpoints([s])
+        if disc[t] <= 0:  # unreachable, or t is s
+            return []
+        cuts = []
+        c, v = t, parent[t]
+        while v != s:
+            if low[c] >= disc[v]:
+                cuts.append(v)
+            c, v = v, parent[v]
+        return sorted(cuts)
+
+    def blocks(self) -> list[frozenset[Edge]]:
+        """Biconnected components as edge sets (bridges come out as
+        single-edge blocks), from one lowpoint DFS.  The tree edge into v
+        opens a block when low[v] >= disc[parent], and otherwise joins its
+        parent's; every edge belongs with the tree edge into its later
+        discovered end.  Ordered by smallest edge, which orders them as
+        their sorted edge lists would, since blocks share no edge."""
+        order, disc, low, parent = self._lowpoints(range(self.n))
+        block = list(range(self.n))  # the block of the tree edge into v
+        for v in order:
+            p = parent[v]
+            if p >= 0 and low[v] < disc[p]:
+                block[v] = block[p]
+        out: dict[int, list[Edge]] = {}
+        for a, b in self.edges:
+            out.setdefault(block[a] if disc[a] > disc[b] else block[b], []).append((a, b))
+        return sorted((frozenset(es) for es in out.values()), key=min)
 
     # -- text format --------------------------------------------------
 

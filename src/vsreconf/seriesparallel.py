@@ -11,8 +11,9 @@ token jumping.  Since both endpoints of an instance reach such a state,
 every TJ instance on a series-parallel graph is a YES instance, and
 TAR instances are answered through the TJ equivalence.
 
-The reduction runs per 2-connected block; pairs split by a cut vertex
-are routed through a state holding that cut vertex instead.
+The reduction runs per 2-connected block, on the block that holds both
+terminals.  A pair that no block holds is split by a cut vertex, and
+``solve_via_tj`` answers it before any walk here is asked for.
 """
 
 from __future__ import annotations
@@ -272,7 +273,6 @@ class SPDecomposition:
     graph: Graph
     trees: list[PSTree]  # one per multi-edge block; K2 blocks carry no tree
     k2_blocks: list[frozenset[int]]
-    cut_vertices: frozenset[int]
 
     def tree_for(self, s: int, t: int) -> PSTree | None:
         for tr in self.trees:
@@ -285,26 +285,19 @@ def recognize_and_decompose(g: Graph) -> SPDecomposition:
     """Construction trees for every 2-connected block, in the order of
     ``Graph.blocks``.  A disconnected graph, or a block that is not
     series-parallel (named in the message), raises NotApplicableError.
-    Cut vertices lie in two or more blocks.  Each block goes to
-    :func:`build_ps_tree` as it comes, which sorts its edges once."""
+    Each block goes to :func:`build_ps_tree` as it comes, which sorts its
+    edges once."""
     if not g.is_connected():
         raise NotApplicableError("decomposition expects a connected graph")
     trees = []
     k2 = []
-    seen: set[int] = set()
-    cuts: set[int] = set()
     for block in g.blocks():
         if len(block) == 1:
             (edge,) = block
-            vs = frozenset(edge)
-            k2.append(vs)
+            k2.append(frozenset(edge))
         else:
-            tree = build_ps_tree(block)
-            trees.append(tree)
-            vs = tree.block_vertices
-        cuts |= seen & vs
-        seen |= vs
-    return SPDecomposition(g, trees, k2, frozenset(cuts))
+            trees.append(build_ps_tree(block))
+    return SPDecomposition(g, trees, k2)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +328,7 @@ class Nested:
     z: int
 
 
-@dataclass(frozen=True)
-class CutVertexSeparated:
-    w: int
-
-
-PairClassification = Parallel | Serial | Sequential | Nested | CutVertexSeparated
+PairClassification = Parallel | Serial | Sequential | Nested
 
 
 def _classify_block(
@@ -391,25 +379,23 @@ def _classify_block(
     return Serial(a, created), swapped, l
 
 
-_Classified = tuple[PSTree | None, PairClassification, bool, int | None]
+_Classified = tuple[PSTree, PairClassification, bool, int | None]
 
 
 def _classify(decomp: SPDecomposition, s: int, t: int) -> _Classified:
-    """The pair's block tree (None for a pair split by a cut vertex) and
-    what :func:`_classify_block` reads off it: the classification, the
-    swap flag and the anchor edge."""
+    """The tree of the block holding the pair and what
+    :func:`_classify_block` reads off it: the classification, the swap
+    flag and the anchor edge.  A pair that no block holds is split by a
+    cut vertex and raises InputError."""
     g = decomp.graph
     g.check_vertex(s)
     g.check_vertex(t)
     if s == t or g.has_edge(s, t):
         raise InputError("expects distinct non-adjacent vertices")
     tree = decomp.tree_for(s, t)
-    if tree is not None:
-        return (tree, *_classify_block(tree, s, t))
-    for w in sorted(decomp.cut_vertices):
-        if w not in (s, t) and g.separates(s, t, {w}):
-            return None, CutVertexSeparated(w), False, None
-    raise ContractViolationError("no block or cut vertex found for the pair")
+    if tree is None:
+        raise InputError("pair is split by a cut vertex: no block holds both terminals")
+    return (tree, *_classify_block(tree, s, t))
 
 
 def classify_pair(decomp: SPDecomposition, s: int, t: int) -> PairClassification:
@@ -425,32 +411,28 @@ class CanonicalSeparator:
 
 def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> CanonicalSeparator:
     """The canonical minimum st-separator M(s, t) read off the
-    construction tree (a cut vertex for pairs split across blocks)."""
+    construction tree of the block holding s and t; a pair split by a
+    cut vertex raises InputError."""
     tree, kind, _, _ = _classify(decomp, s, t)
     return _canonical(decomp, s, t, tree, kind)
 
 
 def _canonical(
-    decomp: SPDecomposition, s: int, t: int, tree: PSTree | None, kind: PairClassification
+    decomp: SPDecomposition, s: int, t: int, tree: PSTree, kind: PairClassification
 ) -> CanonicalSeparator:
     """M(s, t) for a classified pair, checked to separate and to have the
     size the classification predicts."""
     eps = 0
-    if isinstance(kind, CutVertexSeparated):
-        members: State = frozenset({kind.w})
-    elif isinstance(kind, Parallel):
-        members = frozenset({kind.a, kind.b})
+    if isinstance(kind, Parallel):
+        members: State = frozenset({kind.a, kind.b})
     elif isinstance(kind, (Serial, Nested)):
         members = frozenset({kind.a, kind.z})
     else:
-        assert tree is not None and isinstance(kind, Sequential)
         eps = tree.epsilon(s, t)
         members = kind.v_st if kind.a is None else kind.v_st | {kind.a}
     if not decomp.graph.separates(s, t, members):
         raise ContractViolationError("canonical set fails the separator check")
-    single = isinstance(kind, CutVertexSeparated) or (
-        isinstance(kind, Sequential) and kind.a is None
-    )
+    single = isinstance(kind, Sequential) and kind.a is None
     if len(members) != eps + (1 if single else 2):
         raise ContractViolationError("canonical separator has unexpected size")
     return CanonicalSeparator(members, kind, eps)
@@ -693,9 +675,7 @@ def _to_canonical(
     if canon <= w.cur:
         return w.seq
 
-    if isinstance(kind, CutVertexSeparated):
-        w.move_any_to(kind.w)
-    elif isinstance(kind, Sequential):
+    if isinstance(kind, Sequential):
         _do_sequential(tree, w, kind.v_st, kind.a)
     elif isinstance(kind, Nested):
         _do_nested(tree, w, kind.a, kind.z, anchor)
@@ -719,28 +699,17 @@ def _tj_walk(
     """Half-walks from the two distinct endpoints of a TJ instance on the
     decomposed graph to states that share a separator.
 
-    The pair is classified once.  A pair split by a cut vertex shares
-    it: each endpoint takes it in one jump, and any state holding it is
-    a separator.  Otherwise M(s, t) is built once, and each endpoint's
+    The pair is classified and M(s, t) built once, and each endpoint's
     minimal core (from ``shrink_to_minimal``, minimal by construction,
     so not re-checked) is carried to a state containing it, the surplus
     tokens riding along through ``carry``."""
     g, s, t = instance.graph, instance.s, instance.t
     pair = _classify(decomp, s, t)
-    tree, kind = pair[0], pair[1]
-    if isinstance(kind, CutVertexSeparated):
-        w = kind.w
+    canon = _canonical(decomp, s, t, pair[0], pair[1]).members
 
-        def half(x: State) -> ReconfigSequence:
-            """x, then x with its smallest token swapped for the cut vertex."""
-            return [x, x if w in x else x - {min(x)} | {w}]
-
-    else:
-        canon = _canonical(decomp, s, t, tree, kind).members
-
-        def half(x: State) -> ReconfigSequence:
-            core = shrink_to_minimal(g, s, t, x)
-            return carry(_to_canonical(g, s, t, core, pair, canon), x)
+    def half(x: State) -> ReconfigSequence:
+        core = shrink_to_minimal(g, s, t, x)
+        return carry(_to_canonical(g, s, t, core, pair, canon), x)
 
     return half(instance.source), half(instance.target)
 
@@ -749,12 +718,13 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     """Constructive TJ solver, and TAR through the TJ equivalence: the
     only NO answers are trivially negative TAR instances.
 
-    Pairs split by a cut vertex route both endpoints through states
-    containing it; pairs inside one block (which must be series-parallel)
-    are canonicalized toward M(s, t), the surplus tokens carried along by
-    ``carry``; ``solve_via_tj`` joins the two halves.  Recognition runs first, before any other
-    work, equal endpoints included: a graph that is not series-parallel
-    is refused even when the answer is the one-state walk.
+    ``solve_via_tj`` answers a pair split by a cut vertex itself; a pair
+    inside one block (every block must be series-parallel) is
+    canonicalized toward M(s, t), the surplus tokens carried along by
+    ``carry``, and ``solve_via_tj`` joins the two halves.  Recognition
+    runs first, before any other work, equal endpoints included: a graph
+    that is not series-parallel is refused even when the answer is the
+    one-state walk.
     """
     if instance.rule is Rule.TS:
         raise InputError("expects a TJ or TAR instance")

@@ -4,7 +4,7 @@ Canonical alternating normalization of TAR sequences, interleaving /
 subsampling conversions between TJ and TAR certificates, detection of
 trivially negative TAR instances, instance-level conversion in both
 directions, and :func:`solve_via_tj`, which answers TJ and TAR instances
-alike from a solver's TJ walk.
+alike from a solver's TJ walk, or by its one cut-vertex rule.
 """
 
 from __future__ import annotations
@@ -199,6 +199,11 @@ def solve_via_tj(
     half-walks, from the source and from the target, whose last states
     hold a common separator, or None when there is no walk.
 
+    One rule comes first, for every solver: when a vertex w separates s
+    from t (the smallest, by ``Graph.cut_vertices_between``), every state
+    holding w separates, so each half jumps the endpoint's smallest token
+    onto w (none if it holds w), and ``tj_walk`` is not called.
+
     The halves are joined here and nowhere else: ``jumps`` between their
     last states, which moves no token of the common separator, then the
     second half in reverse.
@@ -212,10 +217,15 @@ def solve_via_tj(
 
     def walk(tj: ReconfigInstance) -> ReconfigSequence | None:
         """The joined TJ walk of a TJ instance, or None."""
-        halves = ([tj.source], [tj.target]) if tj.source == tj.target else tj_walk(tj)
-        if halves is None:
+        if tj.source == tj.target:
+            return [tj.source]
+        if cuts := tj.graph.cut_vertices_between(tj.s, tj.t):
+            w = cuts[0]  # every state holding w separates
+            fwd, bwd = ([x] if w in x else [x, x - {min(x)} | {w}] for x in (tj.source, tj.target))
+        elif (halves := tj_walk(tj)) is None:
             return None
-        fwd, bwd = halves
+        else:
+            fwd, bwd = halves
         return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
 
     if instance.source == instance.target:

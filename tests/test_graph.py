@@ -140,6 +140,27 @@ class TestBiconnectivity:
             seen_split += nx.number_connected_components(h) > 1
         assert min(seen_bridges, seen_isolated, seen_split) > 100
 
+    def test_cut_vertices_between_match_one_vertex_removals(self):
+        # v is listed iff removing it alone separates s from t; nothing
+        # is listed when t lies in another component
+        rng = random.Random(37)
+        seen_apart = seen_cut = seen_uncut = 0
+        for _ in range(1500):
+            n = rng.randint(2, 12)
+            p = rng.choice([0.1, 0.2, 0.35, 0.6])
+            g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+            s, t = rng.sample(range(n), 2)
+            got = g.cut_vertices_between(s, t)
+            if g.separates(s, t, ()):
+                assert got == [], (g.to_text(), s, t)
+                seen_apart += 1
+                continue
+            want = [v for v in g.vertices() if v not in (s, t) and g.separates(s, t, {v})]
+            assert got == want, (g.to_text(), s, t)
+            seen_cut += bool(want)
+            seen_uncut += not want
+        assert min(seen_apart, seen_cut, seen_uncut) > 200
+
 
 class TestSearches:
     def test_separates_and_boundary_match_the_full_component(self):

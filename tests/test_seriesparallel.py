@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -16,7 +17,6 @@ from vsreconf.separators import (
     shrink_to_minimal,
 )
 from vsreconf.seriesparallel import (
-    CutVertexSeparated,
     Nested,
     Parallel,
     PSTree,
@@ -296,8 +296,10 @@ class TestClassification:
         assert {kind.a, kind.b} == set(PP_M)
 
     def test_cut_vertex_pair(self):
+        # no block holds both terminals; solve_via_tj answers such pairs
         d = recognize_and_decompose(path_graph(4))
-        assert classify_pair(d, 0, 3) == CutVertexSeparated(1)
+        with pytest.raises(InputError, match="split by a cut vertex"):
+            classify_pair(d, 0, 3)
 
     def test_adjacent_rejected(self):
         d = recognize_and_decompose(cycle_graph(4))
@@ -307,21 +309,26 @@ class TestClassification:
     def test_random_graphs_show_every_shape(self):
         # each shape, a pair with a root terminal in the Sequential and
         # Nested shapes, and Sequential both with and without a, arise
-        # on random graphs: a random block with a pendant vertex
+        # on random graphs: a random block with a pendant vertex, whose
+        # pairs split by a cut vertex have no shape
         rng = random.Random(5)
         seen = set()
+        split = 0
         for _ in range(40):
             g = random_series_parallel_graph(rng, rng.randint(4, 12))
             g = Graph(g.n + 1, _relabelled(rng, g.n, g.edges) + [(rng.randrange(g.n), g.n)])
             d = recognize_and_decompose(g)
             for s, t in nonadjacent_pairs(g):
-                kind = classify_pair(d, s, t)
                 tree = d.tree_for(s, t)
-                rooted = tree is not None and bool({s, t} & tree.root_vertices())
+                if tree is None:
+                    split += 1
+                    continue
+                kind = classify_pair(d, s, t)
+                rooted = bool({s, t} & tree.root_vertices())
                 seen.add((type(kind).__name__, rooted, getattr(kind, "a", 0) is None))
                 canonical_separator(d, s, t)  # separates and has the predicted size
+        assert split > 100
         assert seen == {
-            ("CutVertexSeparated", False, False),
             ("Parallel", False, False),
             ("Serial", False, False),
             ("Sequential", False, False),
@@ -411,13 +418,16 @@ class TestReconfigureToCanonical:
             reconfigure_to_canonical(d, PP_S, PP_T, F(2, 3, 5))
 
     def test_rejects_non_minimal_containing_the_canonical_set(self):
-        # each input holds M(s, t), so only the minimality check refuses it
+        # each input holds M(s, t), or on P4 the cut vertex that splits the
+        # pair, so only the minimality check refuses it, before the pair
+        # is classified
+        d = recognize_and_decompose(cycle_graph(6))
+        assert canonical_separator(d, 0, 3).members <= F(1, 2, 4, 5)
         for g, s, t, sep in (
             (cycle_graph(6), 0, 3, F(1, 2, 4, 5)),
             (path_graph(4), 0, 3, F(1, 2)),
         ):
             d = recognize_and_decompose(g)
-            assert canonical_separator(d, s, t).members <= sep
             with pytest.raises(InputError, match="minimal"):
                 reconfigure_to_canonical(d, s, t, sep)
 
@@ -551,15 +561,15 @@ class TestSolver:
             assert sp_solve_tj(ReconfigInstance(g, 1, 5, Rule.TJ, a, b)).sequence == want
 
     def test_canonical_across_a_cut_vertex(self):
-        # M(s, t) of a pair split by a cut vertex is that one vertex
+        # a pair split by a cut vertex has no block, so no M(s, t); the
+        # walks through the cut vertex are pinned by the sequence test above
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
         d = recognize_and_decompose(Graph(7, edges))
-        canon = canonical_separator(d, 1, 5)
-        assert canon.members == F(3)
-        assert canon.classification == CutVertexSeparated(3)
-        assert reconfigure_to_canonical(d, 1, 5, F(0, 2)) == [F(0, 2), F(2, 3)]
-        assert reconfigure_to_canonical(d, 1, 5, F(4, 6)) == [F(4, 6), F(3, 6)]
-        assert reconfigure_to_canonical(d, 1, 5, F(3)) == [F(3)]
+        with pytest.raises(InputError, match="split by a cut vertex"):
+            canonical_separator(d, 1, 5)
+        for sep in (F(0, 2), F(4, 6), F(3)):
+            with pytest.raises(InputError, match="split by a cut vertex"):
+                reconfigure_to_canonical(d, 1, 5, sep)
 
     def test_decomposition_cut_vertices_match_the_graph(self):
         # series-parallel blocks and bridges glued at random vertices
@@ -575,7 +585,13 @@ class TestSolver:
                 edges += [(at[a], at[b]) for a, b in h.edges]
                 n += h.n - 1
             g = Graph(n, edges)
-            assert recognize_and_decompose(g).cut_vertices == g.cut_vertices(), g.to_text()
+            decomp = recognize_and_decompose(g)
+            spans = [tr.block_vertices for tr in decomp.trees] + decomp.k2_blocks
+            shared = {v for v in g.vertices() if sum(v in sp for sp in spans) >= 2}
+            assert shared == g.cut_vertices(), g.to_text()
+            for s, t in itertools.permutations(g.vertices(), 2):
+                want = [v for v in g.vertices() if v not in (s, t) and g.separates(s, t, {v})]
+                assert g.cut_vertices_between(s, t) == want, (g.to_text(), s, t)
             seen_cuts += bool(g.cut_vertices())
         assert seen_cuts > 30
 

@@ -7,10 +7,10 @@ import sys
 
 import pytest
 
-from vsreconf import Solution, solve
+from vsreconf import Solution, minsep, solve
 from vsreconf.cli import format_instance, main as cli_main
 from vsreconf.cliquepair import NotInScope, characterize
-from vsreconf.errors import InputError
+from vsreconf.errors import InputError, NotApplicableError
 from vsreconf.graph import Graph, cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import tame_solve
@@ -203,6 +203,75 @@ def test_solve_matches_oracle_on_random_instances():
                 if res.reachable:
                     assert verify_sequence(inst, res.sequence)
             done += 1
+
+
+def glued_pieces(rng):
+    """Two or three connected pieces (cliques, series-parallel blocks or
+    G(n, p)) on at most 9 vertices, each glued at its vertex 0 onto a
+    random vertex of the graph so far, which starts as one vertex."""
+    n, edges = 1, []
+    for _ in range(rng.randint(2, 3)):
+        size = rng.randint(2, min(4, 10 - n))
+        piece = rng.choice([
+            Graph(size, itertools.combinations(range(size), 2)),
+            random_series_parallel_graph(rng, size),
+            random_connected_graph(rng, size),
+        ])
+        at = [rng.randrange(n), *range(n, n + size - 1)]
+        edges += [(at[a], at[b]) for a, b in piece.edges]
+        n += size - 1
+    return Graph(n, edges)
+
+
+def test_engines_match_oracle_across_cut_vertices():
+    # every engine that accepts the graph agrees with the oracle, under
+    # TJ and under TAR with a bound of |S| and |S| + 1
+    rng = random.Random(47)
+    checks = dict.fromkeys(("auto", "class", "sp", "tame"), 0)
+    split = 0
+    for _ in range(600):
+        g = glued_pieces(rng)
+        s, t = rng.choice(list(nonadjacent_pairs(g)))
+        split += bool(g.cut_vertices_between(s, t))
+        seps = sorted(brute_force_separators(g, s, t), key=sorted)
+        a = rng.choice(seps)
+        insts = [ReconfigInstance(g, s, t, Rule.TJ, a, rng.choice([x for x in seps if len(x) == len(a)]))]
+        for k in (len(a), len(a) + 1):
+            insts.append(ReconfigInstance(g, s, t, Rule.TAR, a, rng.choice([x for x in seps if len(x) <= k]), k))
+        for inst in insts:
+            want = solve_bfs(inst).reachable
+            for engine in checks:
+                try:
+                    res = solve(inst, engine)
+                except NotApplicableError:
+                    continue
+                assert res.reachable == want, (engine, g.to_text(), s, t, inst.describe(), sorted(a))
+                if res.reachable:
+                    assert verify_sequence(inst, res.sequence)
+                checks[engine] += 1
+    assert split > 400
+    assert checks["auto"] == checks["tame"] == 1800 and checks["sp"] > 1000 and checks["class"] > 300, checks
+
+
+def test_glued_theta_tj_and_tar_enumerate_nothing(monkeypatch):
+    # two θ(5, 6) plus one chord, not series-parallel, glued at the cut
+    # vertex 1 between s = 0 and t = the second copy's 1: tame answers
+    # through the cut vertex
+    def refuse(*args):
+        raise AssertionError("separator family enumerated")
+
+    monkeypatch.setattr(minsep, "enumerate_minimal_separators", refuse)
+    g, first, last = theta_graph(5, 6)
+    shift = [1, *range(g.n, 2 * g.n - 1)]  # the second copy's ids
+    chord = [(first[0] + 2, first[1] + 3)]
+    edges = [*g.edges, *chord, *((shift[a], shift[b]) for a, b in [*g.edges, *chord])]
+    glued = Graph(2 * g.n - 1, edges)
+    source, target = F(*first), F(*(shift[v] for v in last))
+    for rule, k in ((Rule.TJ, None), (Rule.TAR, 6)):
+        inst = ReconfigInstance(glued, 0, g.n, rule, source, target, k)
+        res = solve(inst)
+        assert res.engine == "tame" and res.reachable
+        assert verify_sequence(inst, res.sequence)
 
 
 def layered_graph(q):
