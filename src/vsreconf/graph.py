@@ -104,9 +104,10 @@ class Graph:
                     queue.append(y)
         return seen
 
-    def separates(self, s: int, t: int, removed: frozenset[int] | set[int]) -> bool:
-        """Whether t is unreachable from s in the graph minus `removed`:
-        one search from s that stops the moment it meets t."""
+    def separates(self, s: int, t: int, removed: Iterable[int]) -> bool:
+        """Whether t is unreachable from s in the graph minus `removed`
+        (any iterable of vertex ids): one search from s that stops the
+        moment it meets t."""
         if s == t:
             return False
         adj = self._adj

@@ -4,12 +4,16 @@ Explicit BFS over the reconfiguration graph for all three rules, exact
 shortest distances, sequence verification, and DOT export.  Every
 constructive solver in the library is validated against this module.
 
-One move generator, :func:`_moves`, lists the rule-adjacent candidates
-of a state for the search, :func:`rule_neighbors` and the export.  The
-search tests a candidate for separation only while it is unreached, so
-the parent and siblings of a dequeued state cost a hash lookup, not a
-search of the graph.  Each test is one ``Graph.separates`` search,
-which stops as soon as it meets t.
+Inside the module a state is an int mask with vertex v at bit n - 1 - v;
+states are frozensets only where they enter and where they are
+returned.  One move generator, :func:`_moves`, lists the rule-adjacent
+candidate masks of a state for the search, :func:`rule_neighbors` and
+the export.  A candidate is built and looked up in O(1) int operations.
+The search tests a candidate for separation only while it is
+unreached, so the parent and siblings of a dequeued state cost a hash
+lookup, not a search of the graph.  Each unreached candidate costs one
+``Graph.separates`` search over its members, which stops as soon as it
+meets t.
 """
 
 from __future__ import annotations
@@ -37,30 +41,49 @@ class VerifyResult:
         return self.ok
 
 
-def _moves(instance: ReconfigInstance, st: State) -> Iterator[tuple[State, bool]]:
-    """Each state rule-adjacent to `st` with no terminal in it, paired
-    with whether it still needs a separation test.  TAR additions need
-    none when `st` separates, because a superset of a separator
-    separates.  Each candidate is yielded once."""
-    g, s, t = instance.graph, instance.s, instance.t
-    forbidden = {s, t}
+def _mask(st: State, n: int) -> int:
+    """`st` as an int with vertex v at bit n - 1 - v."""
+    return sum(1 << (n - 1 - v) for v in st)
+
+
+def _members(mask: int, n: int) -> list[int]:
+    """The vertices of `mask`, ascending: the highest bit is the smallest
+    vertex."""
+    out = []
+    while mask:
+        top = mask.bit_length()
+        out.append(n - top)
+        mask ^= 1 << (top - 1)
+    return out
+
+
+def _moves(instance: ReconfigInstance, st: int) -> Iterator[tuple[int, bool]]:
+    """Each state rule-adjacent to the mask `st` with no terminal in it,
+    as a mask paired with whether it still needs a separation test.
+    TAR additions need none when `st` separates, because a superset of
+    a separator separates.  Each candidate is yielded once."""
+    g, n = instance.graph, instance.graph.n
+    blocked = st | 1 << (n - 1 - instance.s) | 1 << (n - 1 - instance.t)
+    members = _members(st, n)
 
     if instance.rule is Rule.TAR:
         k = instance.k
         assert k is not None
-        for x in st:
-            yield st - {x}, True
-        if len(st) < k:
+        for x in members:
+            yield st ^ 1 << (n - 1 - x), True
+        if len(members) < k:
             for y in g.vertices():
-                if y not in st and y not in forbidden:
-                    yield st | {y}, False
+                bit = 1 << (n - 1 - y)
+                if not blocked & bit:
+                    yield st | bit, False
         return
 
-    for x in st:
-        dests = g.neighbors(x) if instance.rule is Rule.TS else g.vertices()
-        for y in dests:
-            if y not in st and y not in forbidden:
-                yield (st - {x}) | {y}, True
+    for x in members:
+        rest = st ^ 1 << (n - 1 - x)
+        for y in g.neighbors(x) if instance.rule is Rule.TS else g.vertices():
+            bit = 1 << (n - 1 - y)
+            if not blocked & bit:
+                yield rest | bit, True
 
 
 def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
@@ -68,33 +91,43 @@ def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
     instance rule.  They are built from the instance's checked ids, so
     their separation is tested directly, without :func:`is_separator`'s
     id checks."""
-    g, s, t = instance.graph, instance.s, instance.t
-    return {
-        cand
-        for cand, needs_test in _moves(instance, st)
-        if not needs_test or g.separates(s, t, cand)
-    }
+    g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
+    found = set()
+    for cand, needs_test in _moves(instance, _mask(st, n)):
+        members = _members(cand, n)
+        if not needs_test or g.separates(s, t, members):
+            found.add(frozenset(members))
+    return found
 
 
 def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> Solution:
     """Shortest-path BFS in the implicit reconfiguration graph.
 
-    The candidates of a dequeued state that are still unreached are
-    tested for separation in :func:`canon` order, and each one that
-    separates is reached from it.  A dequeued state yields O(k n)
-    candidates (O(k Δ) under TS), each built and looked up in O(k), and
-    costs one O(n + m) separation test per candidate still unreached, a
+    States are int masks (vertex v at bit n - 1 - v) until the
+    certificate is returned.  The candidates of a dequeued state that
+    are still unreached are tested for separation in :func:`canon`
+    order, and each one that separates is reached from it.  Under TS
+    and TJ every candidate has k tokens, and canon order is descending
+    mask order; TAR mixes sizes, so its candidates sort by their member
+    lists.  A dequeued state yields O(k n) candidates (O(k Δ) under
+    TS), each built and looked up in O(1) int operations, and costs
+    one ``Graph.separates`` per candidate still unreached, an O(n + m)
     search from s that stops when it meets t.
     The state cap counts reached states."""
-    g, s, t = instance.graph, instance.s, instance.t
-    source, target = instance.source, instance.target
-    parent: dict[State, State | None] = {source: None}
+    g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
+    source, target = _mask(instance.source, n), _mask(instance.target, n)
+    mixed_sizes = instance.rule is Rule.TAR
+    parent: dict[int, int | None] = {source: None}
     queue = deque([source])
     while queue and target not in parent:
         cur = queue.popleft()
         fresh = [m for m in _moves(instance, cur) if m[0] not in parent]
-        for nxt, needs_test in sorted(fresh, key=lambda m: canon(m[0])):
-            if needs_test and not g.separates(s, t, nxt):
+        if mixed_sizes:
+            fresh.sort(key=lambda m: _members(m[0], n))
+        else:
+            fresh.sort(reverse=True)
+        for nxt, needs_test in fresh:
+            if needs_test and not g.separates(s, t, _members(nxt, n)):
                 continue
             if len(parent) >= state_cap:
                 raise ResourceLimitError(
@@ -106,10 +139,10 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
             queue.append(nxt)
     if target not in parent:
         return Solution(False, states_explored=len(parent))
-    seq: ReconfigSequence = [target]
-    while parent[seq[-1]] is not None:
-        seq.append(parent[seq[-1]])  # type: ignore[arg-type]
-    seq.reverse()
+    chain = [target]
+    while parent[chain[-1]] is not None:
+        chain.append(parent[chain[-1]])  # type: ignore[arg-type]
+    seq: ReconfigSequence = [frozenset(_members(m, n)) for m in reversed(chain)]
     return Solution(True, certify(instance, seq), len(parent))
 
 
@@ -148,9 +181,8 @@ def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_
     states = []
     for r in sizes:
         for combo in combinations(pool, r):
-            cand = frozenset(combo)
-            if g.separates(s, t, cand):
-                states.append(cand)
+            if g.separates(s, t, combo):
+                states.append(frozenset(combo))
                 if len(states) > state_cap:
                     raise ResourceLimitError(f"state cap {state_cap} exceeded")
     return sorted(states, key=canon)
@@ -185,11 +217,13 @@ def export_reconfig_graph(instance: ReconfigInstance, state_cap: int = DEFAULT_S
     pair.  Edges are listed by index of their first end, then of their
     second."""
     states = enumerate_states(instance, state_cap)
-    index = {st: i for i, st in enumerate(states)}
+    n = instance.graph.n
+    masks = [_mask(st, n) for st in states]
+    index = {m: i for i, m in enumerate(masks)}
     edges = []
-    for i, a in enumerate(states):
+    for i, a in enumerate(masks):
         later = sorted(
             j for j in (index.get(b, -1) for b, _ in _moves(instance, a)) if j > i
         )
-        edges.extend((a, states[j]) for j in later)
+        edges.extend((states[i], states[j]) for j in later)
     return ReconfigGraph(states, edges, instance.rule, instance.k)

@@ -1,5 +1,6 @@
 import random
 from collections import deque
+from itertools import combinations
 
 import pytest
 
@@ -9,7 +10,6 @@ from vsreconf.instance import ReconfigInstance, Rule, Solution, states_adjacent
 from vsreconf.oracle import (
     DEFAULT_STATE_CAP,
     ReconfigGraph,
-    enumerate_states,
     export_reconfig_graph,
     rule_neighbors,
     solve_bfs,
@@ -34,13 +34,15 @@ def c5_instance(rule, source, target, k=None):
     )
 
 
-def random_instances(seed, count):
-    """Seeded instances on random connected graphs with n = 4..8, under
-    TS, TJ and TAR; TAR takes k from the larger endpoint up to +2."""
+def random_instances(seed, count, max_n=8):
+    """Seeded instances on random connected graphs with n = 4..max_n:
+    one TS or TJ instance, then TAR between two separators of any sizes
+    with k from the larger endpoint up to +2, so that removals and
+    additions of different sizes meet among one state's candidates."""
     rng = random.Random(seed)
     made = 0
     while made < count:
-        g = random_connected_graph(rng, rng.randint(4, 8))
+        g = random_connected_graph(rng, rng.randint(4, max_n))
         pairs = list(nonadjacent_pairs(g))
         if not pairs:
             continue
@@ -53,21 +55,61 @@ def random_instances(seed, count):
         a, b = rng.sample(group, 2) if len(group) > 1 else group * 2
         yield ReconfigInstance(g, s, t, rng.choice((Rule.TS, Rule.TJ)), a, b)
         b = rng.choice([x for x in seps if x != a] or seps)
-        k = max(len(a), len(b)) + rng.randint(0, 2)
-        yield ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
+        low = max(len(a), len(b))
+        for k in range(low, low + 3):
+            yield ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
         made += 1
 
 
+def reference_states(instance):
+    """The separator states within the rule's size bounds in canon
+    order, by testing every subset of the non-terminals."""
+    g, s, t = instance.graph, instance.s, instance.t
+    pool = [v for v in g.vertices() if v not in (s, t)]
+    if instance.rule is Rule.TAR:
+        sizes = range(min(instance.k, len(pool)) + 1)
+    else:
+        sizes = [len(instance.source)]
+    return sorted(
+        (
+            frozenset(c)
+            for r in sizes
+            for c in combinations(pool, r)
+            if g.separates(s, t, c)
+        ),
+        key=canon,
+    )
+
+
+def reference_moves(instance, st):
+    """The separators rule-adjacent to `st`, built as frozensets and each
+    one tested for separation."""
+    g, s, t = instance.graph, instance.s, instance.t
+    free = [y for y in g.vertices() if y not in st and y not in (s, t)]
+    if instance.rule is Rule.TAR:
+        cands = [st - {x} for x in st]
+        if len(st) < instance.k:
+            cands += [st | {y} for y in free]
+    else:
+        cands = [
+            (st - {x}) | {y}
+            for x in st
+            for y in free
+            if instance.rule is Rule.TJ or g.has_edge(x, y)
+        ]
+    return {c for c in cands if g.separates(s, t, c)}
+
+
 def reference_solve_bfs(instance, state_cap=DEFAULT_STATE_CAP):
-    """The search as it was before candidates were filtered: the full
-    `rule_neighbors` of each dequeued state, then the reached ones
-    dropped."""
+    """The search as it was before candidates were filtered: every
+    adjacent separator of each dequeued state in canon order, then the
+    reached ones dropped."""
     source, target = instance.source, instance.target
     parent = {source: None}
     queue = deque([source])
     while queue and target not in parent:
         cur = queue.popleft()
-        for nxt in sorted(rule_neighbors(instance, cur), key=canon):
+        for nxt in sorted(reference_moves(instance, cur), key=canon):
             if nxt in parent:
                 continue
             if len(parent) >= state_cap:
@@ -87,7 +129,7 @@ def reference_solve_bfs(instance, state_cap=DEFAULT_STATE_CAP):
 
 def reference_export(instance):
     """The reconfiguration graph by a rule-adjacency test of every pair."""
-    states = enumerate_states(instance)
+    states = reference_states(instance)
     edges = [
         (a, b)
         for i, a in enumerate(states)
@@ -95,6 +137,23 @@ def reference_export(instance):
         if states_adjacent(instance.rule, a, b, instance.graph, instance.k)
     ]
     return ReconfigGraph(states, edges, instance.rule, instance.k)
+
+
+def graph_distance(rg, a, b):
+    """BFS distance from `a` to `b` in an exported graph, None if apart."""
+    adj = {st: [] for st in rg.states}
+    for x, y in rg.edges:
+        adj[x].append(y)
+        adj[y].append(x)
+    dist = {a: 0}
+    queue = deque([a])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in dist:
+                dist[y] = dist[x] + 1
+                queue.append(y)
+    return dist.get(b)
 
 
 class TestRuleNeighbors:
@@ -112,7 +171,7 @@ class TestRuleNeighbors:
 
     def test_equals_adjacent_separators_random(self):
         for inst in random_instances(31, 25):
-            states = enumerate_states(inst)
+            states = reference_states(inst)
             for a in states:
                 assert rule_neighbors(inst, a) == {
                     b for b in states
@@ -176,14 +235,14 @@ class TestSolveBfs:
             done += 1
 
     def test_matches_unfiltered_search_random(self):
-        for inst in random_instances(7, 80):
+        for inst in random_instances(7, 80, max_n=9):
             got, want = solve_bfs(inst), reference_solve_bfs(inst)
             assert got.reachable == want.reachable
             assert got.sequence == want.sequence
             assert got.states_explored == want.states_explored
 
     def test_state_cap_boundary_matches_unfiltered_search_random(self):
-        for inst in random_instances(11, 30):
+        for inst in random_instances(11, 30, max_n=9):
             explored = solve_bfs(inst).states_explored
             for search in (solve_bfs, reference_solve_bfs):
                 assert search(inst, state_cap=explored).states_explored == explored
@@ -277,3 +336,14 @@ class TestExport:
             got, want = export_reconfig_graph(inst), reference_export(inst)
             assert got == want
             assert got.to_dot() == want.to_dot()
+
+    def test_search_walks_exported_edges_random(self):
+        for inst in random_instances(37, 40):
+            res, rg = solve_bfs(inst), export_reconfig_graph(inst)
+            edges = set(rg.edges)
+            want = graph_distance(rg, inst.source, inst.target)
+            assert res.reachable == (want is not None)
+            if res.reachable:
+                assert res.distance == want
+                for a, b in zip(res.sequence, res.sequence[1:]):
+                    assert (a, b) in edges or (b, a) in edges
