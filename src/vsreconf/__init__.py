@@ -1,35 +1,17 @@
 """Vertex separator reconfiguration under token sliding, token jumping,
-and bounded token addition/removal."""
+and bounded token addition/removal: :func:`solve`, its data types, and
+the function behind each other CLI subcommand.  The engines are reached
+through ``solve(instance, engine)`` and stay public in their modules."""
 
-from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, translate_sequence, vsr_to_isr
-from .cliquepair import characterize, is_3p1_diamond_free, solve_tar_tj_3p1d, solve_ts_3p1d
+from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, vsr_to_isr
+from .cliquepair import characterize
 from .dispatch import solve
 from .graph import Graph
 from .instance import ReconfigInstance, Rule, Solution
-from .minsep import enumerate_minimal_separators, tame_solve
-from .oracle import enumerate_states, export_reconfig_graph, solve_bfs, verify_sequence
-from .separators import (
-    brute_force_minimal_separators,
-    brute_force_separators,
-    is_minimal_separator,
-    is_separator,
-    minimum_separator_size,
-    shrink_to_minimal,
-)
-from .seriesparallel import (
-    canonical_separator,
-    classify_pair,
-    recognize_and_decompose,
-    reconfigure_to_canonical,
-    sp_solve_tj,
-)
-from .tar_tj import (
-    is_trivially_negative_tar,
-    normalize_tar_sequence,
-    tar_to_tj_instance,
-    tar_to_tj_sequence,
-    tj_to_tar_instance,
-)
+from .minsep import enumerate_minimal_separators
+from .oracle import export_reconfig_graph, verify_sequence
+from .seriesparallel import recognize_and_decompose
+from .tar_tj import tar_to_tj_instance, tj_to_tar_instance
 
 __all__ = [
     "solve",
@@ -37,37 +19,17 @@ __all__ = [
     "Graph",
     "ReconfigInstance",
     "Rule",
-    "solve_bfs",
-    "verify_sequence",
-    "enumerate_states",
-    "export_reconfig_graph",
-    "is_separator",
-    "is_minimal_separator",
-    "shrink_to_minimal",
-    "brute_force_separators",
-    "brute_force_minimal_separators",
-    "minimum_separator_size",
-    "enumerate_minimal_separators",
-    "tame_solve",
-    "is_trivially_negative_tar",
-    "normalize_tar_sequence",
-    "tar_to_tj_sequence",
-    "tar_to_tj_instance",
-    "tj_to_tar_instance",
     "IsrInstance",
-    "is_peanut_like",
+    "verify_sequence",
+    "enumerate_minimal_separators",
+    "tj_to_tar_instance",
+    "tar_to_tj_instance",
     "isr_to_vsr",
     "vsr_to_isr",
-    "translate_sequence",
+    "is_peanut_like",
     "characterize",
-    "is_3p1_diamond_free",
-    "solve_tar_tj_3p1d",
-    "solve_ts_3p1d",
     "recognize_and_decompose",
-    "classify_pair",
-    "canonical_separator",
-    "reconfigure_to_canonical",
-    "sp_solve_tj",
+    "export_reconfig_graph",
 ]
 
 __version__ = "0.1.0"

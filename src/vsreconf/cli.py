@@ -194,8 +194,9 @@ def _load_sequence(path: str, g: Graph) -> ReconfigSequence:
     seq: ReconfigSequence = []
     for raw in _read(path).splitlines():
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if line.startswith("#"):
             continue
+        # a blank line is the empty state, as _print_answer writes it
         state = _parse_ids(line.split(), "sequence state")
         for v in state:
             g.check_vertex(v)

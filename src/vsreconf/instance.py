@@ -90,18 +90,3 @@ class ReconfigInstance:
         bound = f"(k={self.k})" if self.rule is Rule.TAR else ""
         return f"{self.rule.value}{bound} s={self.s} t={self.t}"
 
-
-def states_adjacent(rule: Rule, a: State, b: State, graph: Graph, k: int | None = None) -> bool:
-    """Rule adjacency between two states (separator-ness not included)."""
-    if a == b:
-        return False
-    if rule is Rule.TAR:
-        assert k is not None
-        return len(a ^ b) == 1 and max(len(a), len(b)) <= k
-    if len(a) != len(b) or len(a - b) != 1:
-        return False
-    if rule is Rule.TJ:
-        return True
-    (x,) = a - b
-    (y,) = b - a
-    return graph.has_edge(x, y)

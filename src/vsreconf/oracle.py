@@ -1,14 +1,15 @@
 """Ground-truth brute-force solver.
 
 Explicit BFS over the reconfiguration graph for all three rules, exact
-shortest distances, sequence verification, and DOT export.  Every
-constructive solver in the library is validated against this module.
+shortest distances, DOT export, and the certificate check: rule
+adjacency (:func:`states_adjacent`), :func:`verify_sequence`, and
+:func:`certify`, which every solver calls once on the walk it returns.
 
-Inside the module a state is an int mask with vertex v at bit n - 1 - v;
-states are frozensets only where they enter and where they are
-returned.  One move generator, :func:`_moves`, lists the rule-adjacent
-candidate masks of a state for the search, :func:`rule_neighbors` and
-the export.  A candidate is built and looked up in O(1) int operations.
+Inside the search and the export a state is an int mask with vertex v
+at bit n - 1 - v; states are frozensets only where they enter and where
+they are returned.  One move generator, :func:`_moves`, lists the
+rule-adjacent candidate masks of a state for the search and the
+export.  A candidate is built and looked up in O(1) int operations.
 The search tests a candidate for separation only while it is
 unreached, so the parent and siblings of a dequeued state cost a hash
 lookup, not a search of the graph.  Each unreached candidate costs one
@@ -23,11 +24,10 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
 
-from .errors import ResourceLimitError
+from .errors import ContractViolationError, ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution, states_adjacent
+from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .separators import State, canon, format_state, is_separator
-from .sequence import certify
 
 DEFAULT_STATE_CAP = 5_000_000
 
@@ -86,18 +86,20 @@ def _moves(instance: ReconfigInstance, st: int) -> Iterator[tuple[int, bool]]:
                 yield rest | bit, True
 
 
-def rule_neighbors(instance: ReconfigInstance, st: State) -> set[State]:
-    """All separator states adjacent to the separator `st` under the
-    instance rule.  They are built from the instance's checked ids, so
-    their separation is tested directly, without :func:`is_separator`'s
-    id checks."""
-    g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
-    found = set()
-    for cand, needs_test in _moves(instance, _mask(st, n)):
-        members = _members(cand, n)
-        if not needs_test or g.separates(s, t, members):
-            found.add(frozenset(members))
-    return found
+def states_adjacent(rule: Rule, a: State, b: State, graph: Graph, k: int | None = None) -> bool:
+    """Rule adjacency between two states (separator-ness not included)."""
+    if a == b:
+        return False
+    if rule is Rule.TAR:
+        assert k is not None
+        return len(a ^ b) == 1 and max(len(a), len(b)) <= k
+    if len(a) != len(b) or len(a - b) != 1:
+        return False
+    if rule is Rule.TJ:
+        return True
+    (x,) = a - b
+    (y,) = b - a
+    return graph.has_edge(x, y)
 
 
 def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> Solution:
@@ -167,6 +169,16 @@ def verify_sequence(instance: ReconfigInstance, seq: ReconfigSequence) -> Verify
                 False, f"states {i} and {i + 1} are not {instance.rule.value}-adjacent"
             )
     return VerifyResult(True)
+
+
+def certify(instance: ReconfigInstance, seq: ReconfigSequence) -> ReconfigSequence:
+    """Return ``seq`` if it is a valid certificate for ``instance``; raise
+    :class:`ContractViolationError` otherwise.  Every solver certifies
+    through here once, before it returns."""
+    check = verify_sequence(instance, seq)
+    if not check:
+        raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
+    return seq
 
 
 def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> list[State]:

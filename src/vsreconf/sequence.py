@@ -1,11 +1,11 @@
-"""Sequence plumbing shared by the solvers: the two single-token walks
-between states, de-duplication at the seams of stitched walks, and the
-certificate check each solver makes once, before it returns."""
+"""Walk plumbing shared by the solvers: the single-token walks between
+states (``jumps`` and ``tar_steps``), ``carry`` through a chain of
+separators, and de-duplication at the seams of stitched walks.  The
+certificate check lives with the oracle's verifier."""
 
 from __future__ import annotations
 
-from .errors import ContractViolationError
-from .instance import ReconfigInstance, ReconfigSequence
+from .instance import ReconfigSequence
 from .separators import State
 
 
@@ -58,13 +58,3 @@ def tar_steps(a: State, b: State) -> ReconfigSequence:
         seq.append(seq[-1] | {v})
     return seq
 
-
-def certify(instance: ReconfigInstance, seq: ReconfigSequence) -> ReconfigSequence:
-    """Return ``seq`` if it is a valid certificate for ``instance``; raise
-    :class:`ContractViolationError` otherwise."""
-    from .oracle import verify_sequence  # the oracle certifies through here too
-
-    check = verify_sequence(instance, seq)
-    if not check:
-        raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
-    return seq

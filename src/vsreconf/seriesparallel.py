@@ -26,8 +26,9 @@ from typing import Iterable
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
+from .oracle import certify
 from .separators import State, is_minimal_separator, shrink_to_minimal
-from .sequence import carry, certify
+from .sequence import carry
 from .tar_tj import solve_via_tj
 
 
@@ -379,14 +380,22 @@ def _classify_block(
     return Serial(a, created), swapped, l
 
 
-_Classified = tuple[PSTree, PairClassification, bool, int | None]
+@dataclass(frozen=True)
+class _Pair:
+    """A terminal pair inside one block, read off its construction tree
+    once: what :func:`_classify_block` returns, and M(s, t)."""
+
+    tree: PSTree
+    kind: PairClassification
+    swapped: bool
+    anchor: int | None
+    canon: State
 
 
-def _classify(decomp: SPDecomposition, s: int, t: int) -> _Classified:
-    """The tree of the block holding the pair and what
-    :func:`_classify_block` reads off it: the classification, the swap
-    flag and the anchor edge.  A pair that no block holds is split by a
-    cut vertex and raises InputError."""
+def _pair(decomp: SPDecomposition, s: int, t: int) -> _Pair:
+    """The record of a pair inside one block, M(s, t) checked to separate
+    and to have the size its shape predicts.  A pair that no block holds
+    is split by a cut vertex and raises InputError."""
     g = decomp.graph
     g.check_vertex(s)
     g.check_vertex(t)
@@ -395,47 +404,31 @@ def _classify(decomp: SPDecomposition, s: int, t: int) -> _Classified:
     tree = decomp.tree_for(s, t)
     if tree is None:
         raise InputError("pair is split by a cut vertex: no block holds both terminals")
-    return (tree, *_classify_block(tree, s, t))
+    kind, swapped, anchor = _classify_block(tree, s, t)
+    size = 2
+    if isinstance(kind, Parallel):
+        canon: State = frozenset({kind.a, kind.b})
+    elif isinstance(kind, (Serial, Nested)):
+        canon = frozenset({kind.a, kind.z})
+    else:
+        canon = kind.v_st if kind.a is None else kind.v_st | {kind.a}
+        size = tree.epsilon(s, t) + (1 if kind.a is None else 2)
+    if not g.separates(s, t, canon):
+        raise ContractViolationError("canonical set fails the separator check")
+    if len(canon) != size:
+        raise ContractViolationError("canonical separator has unexpected size")
+    return _Pair(tree, kind, swapped, anchor, canon)
 
 
 def classify_pair(decomp: SPDecomposition, s: int, t: int) -> PairClassification:
-    return _classify(decomp, s, t)[1]
+    return _pair(decomp, s, t).kind
 
 
-@dataclass(frozen=True)
-class CanonicalSeparator:
-    members: State
-    classification: PairClassification
-    epsilon: int
-
-
-def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> CanonicalSeparator:
+def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> State:
     """The canonical minimum st-separator M(s, t) read off the
     construction tree of the block holding s and t; a pair split by a
     cut vertex raises InputError."""
-    tree, kind, _, _ = _classify(decomp, s, t)
-    return _canonical(decomp, s, t, tree, kind)
-
-
-def _canonical(
-    decomp: SPDecomposition, s: int, t: int, tree: PSTree, kind: PairClassification
-) -> CanonicalSeparator:
-    """M(s, t) for a classified pair, checked to separate and to have the
-    size the classification predicts."""
-    eps = 0
-    if isinstance(kind, Parallel):
-        members: State = frozenset({kind.a, kind.b})
-    elif isinstance(kind, (Serial, Nested)):
-        members = frozenset({kind.a, kind.z})
-    else:
-        eps = tree.epsilon(s, t)
-        members = kind.v_st if kind.a is None else kind.v_st | {kind.a}
-    if not decomp.graph.separates(s, t, members):
-        raise ContractViolationError("canonical set fails the separator check")
-    single = isinstance(kind, Sequential) and kind.a is None
-    if len(members) != eps + (1 if single else 2):
-        raise ContractViolationError("canonical separator has unexpected size")
-    return CanonicalSeparator(members, kind, eps)
+    return _pair(decomp, s, t).canon
 
 
 # ---------------------------------------------------------------------------
@@ -656,20 +649,15 @@ def reconfigure_to_canonical(
     g = decomp.graph
     if not is_minimal_separator(g, s, t, a_sep):
         raise InputError("expects a minimal separator; shrink the input first")
-    pair = _classify(decomp, s, t)
-    canon = _canonical(decomp, s, t, pair[0], pair[1]).members
-    seq = _to_canonical(g, s, t, a_sep, pair, canon)
+    seq = _to_canonical(g, s, t, a_sep, _pair(decomp, s, t))
     return certify(ReconfigInstance(g, s, t, Rule.TJ, a_sep, seq[-1]), seq)
 
 
-def _to_canonical(
-    g: Graph, s: int, t: int, core: State, pair: _Classified, canon: State
-) -> ReconfigSequence:
+def _to_canonical(g: Graph, s: int, t: int, core: State, pair: _Pair) -> ReconfigSequence:
     """:func:`reconfigure_to_canonical` for a minimal separator ``core``
-    (not re-checked), with the pair already classified by
-    :func:`_classify` and ``canon`` = M(s, t)."""
-    tree, kind, swapped, anchor = pair
-    if swapped:
+    (not re-checked), with the pair already read off by :func:`_pair`."""
+    tree, kind, anchor, canon = pair.tree, pair.kind, pair.anchor, pair.canon
+    if pair.swapped:
         s, t = t, s
     w = _Walker(g, s, t, core)
     if canon <= w.cur:
@@ -699,17 +687,16 @@ def _tj_walk(
     """Half-walks from the two distinct endpoints of a TJ instance on the
     decomposed graph to states that share a separator.
 
-    The pair is classified and M(s, t) built once, and each endpoint's
+    The pair is read off by :func:`_pair` once, and each endpoint's
     minimal core (from ``shrink_to_minimal``, minimal by construction,
     so not re-checked) is carried to a state containing it, the surplus
     tokens riding along through ``carry``."""
     g, s, t = instance.graph, instance.s, instance.t
-    pair = _classify(decomp, s, t)
-    canon = _canonical(decomp, s, t, pair[0], pair[1]).members
+    pair = _pair(decomp, s, t)
 
     def half(x: State) -> ReconfigSequence:
         core = shrink_to_minimal(g, s, t, x)
-        return carry(_to_canonical(g, s, t, core, pair, canon), x)
+        return carry(_to_canonical(g, s, t, core, pair), x)
 
     return half(instance.source), half(instance.target)
 

@@ -15,8 +15,9 @@ from dataclasses import dataclass
 from .errors import ContractViolationError, InvalidInstanceError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .separators import State, check_state, is_minimal_separator, pad_state, shrink_to_minimal
-from .sequence import certify, dedupe, jumps, tar_steps
+from .oracle import certify
+from .separators import check_state, pad_state, shrink_to_minimal
+from .sequence import dedupe, jumps, tar_steps
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
@@ -99,29 +100,23 @@ def tar_to_tj_sequence(
     g: Graph, s: int, t: int, seq: ReconfigSequence, k: int
 ) -> ReconfigSequence:
     """Inverse of :func:`tj_to_tar_sequence`: keep the odd positions of a
-    normalized alternating TAR sequence."""
+    normalized alternating TAR sequence, less consecutive repeats.  Two
+    kept states around a state of k+1 vertices are equal (a vertex added
+    and removed again) or one jump apart."""
     _check_tar_sequence(g, s, t, seq, k + 1)
     if not _alternates(seq, k):
         raise ContractViolationError("input is not normalized (sizes must alternate k, k+1, ...)")
-    out = seq[::2]
-    for prev, nxt in zip(out, out[1:]):
-        if len(prev - nxt) != 1:
-            raise ContractViolationError("subsampled states are not single jumps")
-    return out
+    return dedupe(seq[::2])
 
 
 def is_trivially_negative_tar(instance: ReconfigInstance) -> bool:
     """Observation-style pruning: distinct endpoints with one of them a
-    minimal separator of exactly k vertices can never move."""
+    minimal separator of exactly k vertices can never move.  That is an
+    endpoint whose minimal core has no room below k, which
+    :func:`_tar_to_tj` reports."""
     if instance.rule is not Rule.TAR:
         raise InvalidInstanceError("expects a TAR instance")
-    if instance.source == instance.target:
-        return False
-    g, s, t, k = instance.graph, instance.s, instance.t, instance.k
-    for st in (instance.source, instance.target):
-        if len(st) == k and is_minimal_separator(g, s, t, st):
-            return True
-    return False
+    return instance.source != instance.target and _tar_to_tj(instance) is None
 
 
 def tj_to_tar_instance(instance: ReconfigInstance) -> ReconfigInstance:
@@ -153,40 +148,41 @@ def tar_to_tj_instance(instance: ReconfigInstance) -> TarToTjConversion:
     n-1 counting as n-1."""
     if instance.rule is not Rule.TAR:
         raise InvalidInstanceError("expects a TAR instance")
-    if is_trivially_negative_tar(instance):
+    conv = _tar_to_tj(instance)
+    if conv is not None:
+        return conv
+    if instance.source != instance.target:
         raise InvalidInstanceError(
             "trivially negative TAR instance (see is_trivially_negative_tar);"
             " the answer is NO and no equivalent TJ instance exists"
         )
-    return _tar_to_tj(instance)
+    # equivalence is vacuous when source == target is a minimal separator
+    # of size k
+    raise InvalidInstanceError(
+        "endpoint shrinks to a minimal separator of size k;"
+        " no size-(k-1) primed state exists"
+    )
 
 
-def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion:
-    """:func:`tar_to_tj_instance` of a TAR instance already found not
-    trivially negative."""
+def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion | None:
+    """:func:`tar_to_tj_instance`, or None when an endpoint's minimal core
+    has no room below k: the endpoint is then itself a minimal separator
+    of k vertices.  Each endpoint is shrunk once, and its bridge goes down
+    to the core, then up through the smallest free ids."""
     g, s, t = instance.graph, instance.s, instance.t
     assert instance.k is not None
     # states never hold s or t, so every bound from n-2 up admits the same
     # states; n-1 is the largest whose k-1 padded tokens fit in the n-2
     # non-terminals
     k = min(instance.k, g.n - 1)
-
-    def primed(st: State) -> tuple[State, ReconfigSequence]:
-        """The padded state and the TAR bridge to it: down to the
-        minimal core, then up through the smallest free ids."""
+    primed = []
+    for st in (instance.source, instance.target):
         core = shrink_to_minimal(g, s, t, st)
         if len(core) > k - 1:
-            # only reachable when source == target is a minimal separator
-            # of size k; equivalence is vacuous there
-            raise InvalidInstanceError(
-                "endpoint shrinks to a minimal separator of size k;"
-                " no size-(k-1) primed state exists"
-            )
+            return None
         goal = pad_state(g, s, t, core, k - 1)
-        return goal, tar_steps(st, core) + tar_steps(core, goal)[1:]
-
-    sa, bridge_a = primed(instance.source)
-    sb, bridge_b = primed(instance.target)
+        primed.append((goal, tar_steps(st, core) + tar_steps(core, goal)[1:]))
+    (sa, bridge_a), (sb, bridge_b) = primed
     return TarToTjConversion(ReconfigInstance(g, s, t, Rule.TJ, sa, sb), bridge_a, bridge_b)
 
 
@@ -209,7 +205,8 @@ def solve_via_tj(
     second half in reverse.
 
     None is a NO, for TJ and TAR alike.  A TAR instance is also NO when
-    trivially negative; otherwise its equivalent TJ instance is walked,
+    trivially negative, which its conversion reports by returning None;
+    otherwise its equivalent TJ instance is walked,
     and the walk, interleaved into a TAR walk, is joined to the endpoints
     by the conversion's bridges.  The result is certified once, against
     the instance given.
@@ -233,9 +230,9 @@ def solve_via_tj(
     if instance.rule is Rule.TJ:
         mid = walk(instance)
         return Solution(False) if mid is None else Solution(True, certify(instance, mid))
-    if is_trivially_negative_tar(instance):
-        return Solution(False)
     conv = _tar_to_tj(instance)
+    if conv is None:
+        return Solution(False)
     mid = walk(conv.tj_instance)
     if mid is None:
         return Solution(False)

@@ -343,7 +343,7 @@ def test_10_canonical_separator_is_minimum():
         canon = canonical_separator(d, s, t)
         # subset enumeration yields separators in increasing size order
         smallest = next(iter(brute_force_separators(g, s, t)))
-        assert len(canon.members) == len(smallest), (g.to_text(), s, t)
+        assert len(canon) == len(smallest), (g.to_text(), s, t)
         done += 1
     done = 0
     while done < 200:
@@ -354,7 +354,7 @@ def test_10_canonical_separator_is_minimum():
         s, t = pairs[rng.randrange(len(pairs))]
         d = recognize_and_decompose(g)
         canon = canonical_separator(d, s, t)
-        assert len(canon.members) == minimum_separator_size(g, s, t)
+        assert len(canon) == minimum_separator_size(g, s, t)
         done += 1
     _report(10, "|M(s,t)| = minimum separator size on 500 small + 200 large SP graphs")
 
@@ -363,7 +363,7 @@ def test_11_sp_solver():
     # four-jump fixture walk
     g = parallel_pair_graph()
     d = recognize_and_decompose(g)
-    assert canonical_separator(d, PP_S, PP_T).members == PP_M
+    assert canonical_separator(d, PP_S, PP_T) == PP_M
     seq = reconfigure_to_canonical(d, PP_S, PP_T, PP_A)
     assert len(seq) == 5 and seq[0] == PP_A and PP_M <= seq[-1]
 

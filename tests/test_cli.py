@@ -180,6 +180,35 @@ class TestOracle:
         code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
         assert code == 0 and out.startswith("INVALID")
 
+    @pytest.mark.parametrize(
+        "rule, source, target, k, want",
+        [
+            # disconnected terminals: every state separates, so the TAR
+            # walk passes through the empty state
+            ("TAR", {1}, {2}, 1, ["1", "", "2"]),
+            ("TJ", set(), set(), None, [""]),
+        ],
+    )
+    def test_verify_accepts_printed_empty_states(
+        self, capsys, tmp_path, rule, source, target, k, want
+    ):
+        g = Graph(4, [(0, 1), (2, 3)])
+        inst = write_instance(tmp_path, "apart.inst", g, 0, 3, rule, source, target, k)
+        code, out, _ = run(capsys, "solve", inst, "--sequence")
+        lines = out.splitlines()
+        assert code == 0 and lines == ["YES", *want]
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text(out.split("\n", 1)[1])  # verbatim, after YES
+        code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 0 and out.strip() == "VALID"
+
+    def test_verify_comment_lines_are_not_states(self, capsys, tmp_path):
+        inst = write_instance(tmp_path, "p4.inst", path_graph(4), 0, 3, "TJ", {1}, {2})
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text("# walk\n1\n# jump\n2\n")
+        code, out, _ = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 0 and out.strip() == "VALID"
+
     @pytest.mark.parametrize("states", ["1\n9\n2\n", "1\n9\n"])
     def test_verify_out_of_range_id_exit_2(self, capsys, tmp_path, states):
         # an unknown id is bad input wherever it sits in the file, not a

@@ -342,17 +342,16 @@ class TestClassification:
 class TestCanonicalSeparator:
     def test_c4(self):
         d = recognize_and_decompose(cycle_graph(4))
-        assert canonical_separator(d, 1, 3).members == F(0, 2)
+        assert canonical_separator(d, 1, 3) == F(0, 2)
 
     def test_k23(self):
         d = recognize_and_decompose(k23())
-        canon = canonical_separator(d, 0, 1)
-        assert canon.members == F(2, 3, 4)
-        assert canon.epsilon == 2
+        assert canonical_separator(d, 0, 1) == F(2, 3, 4)
+        assert d.tree_for(0, 1).epsilon(0, 1) == 2
 
     def test_parallel_fixture(self):
         d = recognize_and_decompose(parallel_pair_graph())
-        assert canonical_separator(d, PP_S, PP_T).members == frozenset(PP_M)
+        assert canonical_separator(d, PP_S, PP_T) == frozenset(PP_M)
 
     def test_minimum_small_random(self):
         rng = random.Random(17)
@@ -370,9 +369,9 @@ class TestCanonicalSeparator:
                 continue
             s, t = pairs[rng.randrange(len(pairs))]
             canon = canonical_separator(d, s, t)
-            assert len(canon.members) == minimum_separator_size(g, s, t)
+            assert len(canon) == minimum_separator_size(g, s, t)
             if g.n <= 8:
-                assert canon.members in brute_force_minimal_separators(g, s, t)
+                assert canon in brute_force_minimal_separators(g, s, t)
             done += 1
 
     def test_minimum_large_random(self):
@@ -391,7 +390,7 @@ class TestCanonicalSeparator:
             d = recognize_and_decompose(g)
             s, t = pairs[rng.randrange(len(pairs))]
             canon = canonical_separator(d, s, t)
-            assert len(canon.members) == minimum_separator_size(g, s, t)
+            assert len(canon) == minimum_separator_size(g, s, t)
             done += 1
 
 
@@ -422,7 +421,7 @@ class TestReconfigureToCanonical:
         # pair, so only the minimality check refuses it, before the pair
         # is classified
         d = recognize_and_decompose(cycle_graph(6))
-        assert canonical_separator(d, 0, 3).members <= F(1, 2, 4, 5)
+        assert canonical_separator(d, 0, 3) <= F(1, 2, 4, 5)
         for g, s, t, sep in (
             (cycle_graph(6), 0, 3, F(1, 2, 4, 5)),
             (path_graph(4), 0, 3, F(1, 2)),
@@ -450,7 +449,7 @@ class TestReconfigureToCanonical:
             for a in sorted(brute_force_minimal_separators(g, s, t), key=sorted):
                 seq = reconfigure_to_canonical(d, s, t, a)
                 assert seq[0] == a
-                assert canon.members <= seq[-1]
+                assert canon <= seq[-1]
                 for st in seq:
                     assert is_separator(g, s, t, st)
                 for x, y in zip(seq, seq[1:]):
@@ -472,7 +471,7 @@ class TestReconfigureToCanonical:
                 for t in g.vertices():
                     if s == t or g.has_edge(s, t):
                         continue
-                    canon = canonical_separator(d, s, t).members
+                    canon = canonical_separator(d, s, t)
                     for a in enumerate_minimal_separators(g, s, t).sorted_members():
                         seq = reconfigure_to_canonical(d, s, t, a)
                         assert canon <= seq[-1]

@@ -2,11 +2,17 @@ import random
 
 import pytest
 
+from vsreconf import solve
 from vsreconf.errors import ContractViolationError, InputError, InvalidInstanceError
 from vsreconf.graph import cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import brute_force_separators, is_separator
+from vsreconf.separators import (
+    brute_force_minimal_separators,
+    brute_force_separators,
+    is_minimal_separator,
+    is_separator,
+)
 from vsreconf.tar_tj import (
     is_trivially_negative_tar,
     normalize_tar_sequence,
@@ -110,6 +116,13 @@ class TestSequenceConversions:
         seq = [F(1, 3), F(1, 3, 4), F(1, 4)]
         assert tar_to_tj_sequence(g, 0, 2, seq, 2) == [F(1, 3), F(1, 4)]
 
+    def test_tar_to_tj_drops_a_vertex_added_and_removed_again(self):
+        # the kept states are {1,5}, {1,5}, {1,4}: one repeat, one jump
+        g = cycle_graph(6)
+        seq = [F(1, 5), F(1, 2, 5), F(1, 5), F(1, 4, 5), F(1, 4)]
+        assert normalize_tar_sequence(g, 0, 3, seq, 2) == seq
+        assert tar_to_tj_sequence(g, 0, 3, seq, 2) == [F(1, 5), F(1, 4)]
+
     def test_tar_to_tj_rejects_unnormalized(self):
         g = star_fixture()
         with pytest.raises(ContractViolationError):
@@ -176,6 +189,47 @@ class TestTriviallyNegative:
         g = cycle_graph(5)
         inst = ReconfigInstance(g, 0, 2, Rule.TAR, F(1, 3), F(1, 4), 3)
         assert not is_trivially_negative_tar(inst)
+
+    def test_matches_definition_random(self):
+        # the definition, computed here: distinct endpoints, one of them a
+        # minimal separator of exactly k vertices.  tar_to_tj_instance
+        # refuses exactly those, and equal endpoints minimal with k
+        # vertices, each with its own message; solve answers NO
+        rng = random.Random(59)
+        seen = {"negative": 0, "vacuous": 0, "converted": 0}
+        done = 0
+        while done < 200:
+            g = random_connected_graph(rng, rng.randint(4, 9))
+            pairs = list(nonadjacent_pairs(g))
+            if not pairs:
+                continue
+            s, t = rng.choice(pairs)
+            seps = list(brute_force_separators(g, s, t))
+            minimal = sorted(brute_force_minimal_separators(g, s, t), key=sorted)
+            a = rng.choice(minimal if rng.random() < 0.5 else seps)
+            no_larger = [x for x in seps if x != a and len(x) <= len(a)]
+            roll = rng.random()
+            b = a if roll < 0.25 else rng.choice(no_larger if roll < 0.6 and no_larger else seps)
+            low = max(len(a), len(b))
+            for k in (low, low + 1, low + 2, rng.randint(g.n - 1, g.n + 1)):
+                inst = ReconfigInstance(g, s, t, Rule.TAR, a, b, k)
+                tight = [len(x) == k and is_minimal_separator(g, s, t, x) for x in (a, b)]
+                negative = a != b and any(tight)
+                assert is_trivially_negative_tar(inst) == negative
+                if negative:
+                    seen["negative"] += 1
+                    with pytest.raises(InvalidInstanceError, match="trivially negative"):
+                        tar_to_tj_instance(inst)
+                    assert not solve(inst).reachable
+                elif a == b and tight[0]:
+                    seen["vacuous"] += 1
+                    with pytest.raises(InvalidInstanceError, match="primed state"):
+                        tar_to_tj_instance(inst)
+                else:
+                    seen["converted"] += 1
+                    assert len(tar_to_tj_instance(inst).tj_instance.source) == min(k, g.n - 1) - 1
+            done += 1
+        assert min(seen.values()) >= 10, seen
 
     def test_rejects_tj_instance(self):
         g = cycle_graph(5)
