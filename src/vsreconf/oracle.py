@@ -13,8 +13,10 @@ export.  A candidate is built and looked up in O(1) int operations.
 The search tests a candidate for separation only while it is
 unreached, so the parent and siblings of a dequeued state cost a hash
 lookup, not a search of the graph.  Each unreached candidate costs one
-``Graph.separates`` search over its members, which stops as soon as it
-meets t.
+mask search, :func:`_separates`: O(reached vertices) big-int operations
+over a table of neighbourhood masks, stopping as soon as it meets t.
+The certificate check keeps ``Graph.separates`` on frozenset states,
+so the search kernel never certifies its own walk.
 """
 
 from __future__ import annotations
@@ -55,6 +57,39 @@ def _members(mask: int, n: int) -> list[int]:
         out.append(n - top)
         mask ^= 1 << (top - 1)
     return out
+
+
+def _neighbour_masks(g: Graph) -> list[int]:
+    """N(v) as a mask, in the bit layout of the states, at index n - v:
+    the index of a mask's smallest vertex is the mask's bit length."""
+    return [0] + [_mask(g.neighbors(v), g.n) for v in reversed(g.vertices())]
+
+
+def _separates(nbr: list[int], n: int, s: int, t: int, removed: int) -> bool:
+    """Whether the mask `removed` separates s from t (s != t), over the
+    table `nbr` of :func:`_neighbour_masks`.  A depth-first search from
+    s: take the smallest vertex of `todo`, and stop as soon as its
+    unseen neighbours hold t.  A vertex with one unseen neighbour hands
+    the search straight on to it, so a path costs no pushes.  Each
+    reached vertex costs O(1) big-int operations; `unseen` stays
+    non-negative, since an AND with a negative int makes CPython copy
+    it into two's complement."""
+    tbit = 1 << (n - 1 - t)
+    todo = 1 << (n - 1 - s)
+    unseen = ((1 << n) - 1) ^ (removed | todo)
+    while todo:
+        top = todo.bit_length()
+        todo ^= 1 << (top - 1)
+        new = nbr[top] & unseen
+        while new:
+            if new & tbit:
+                return False
+            unseen ^= new
+            if new & (new - 1):
+                todo |= new
+                break
+            new = nbr[new.bit_length()] & unseen
+    return True
 
 
 def _moves(instance: ReconfigInstance, st: int) -> Iterator[tuple[int, bool]]:
@@ -110,14 +145,18 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
     are still unreached are tested for separation in :func:`canon`
     order, and each one that separates is reached from it.  Under TS
     and TJ every candidate has k tokens, and canon order is descending
-    mask order; TAR mixes sizes, so its candidates sort by their member
-    lists.  A dequeued state yields O(k n) candidates (O(k Δ) under
-    TS), each built and looked up in O(1) int operations, and costs
-    one ``Graph.separates`` per candidate still unreached, an O(n + m)
-    search from s that stops when it meets t.
-    The state cap counts reached states."""
+    mask order.  TAR mixes sizes: there a candidate c sorts, descending,
+    by c with every bit below its lowest one set, and a removal wins a
+    tie, since the shorter member list is then a prefix of the longer.
+    A dequeued state yields O(k n) candidates (O(k Δ) under TS), each
+    built, ordered and looked up in O(1) int operations, and costs one
+    :func:`_separates` per candidate still unreached: a mask search from
+    s of O(reached vertices) big-int operations that stops when it meets
+    t.  The state cap counts reached states."""
     g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
     source, target = _mask(instance.source, n), _mask(instance.target, n)
+    nbr = _neighbour_masks(g)
+    full = (1 << n) - 1
     mixed_sizes = instance.rule is Rule.TAR
     parent: dict[int, int | None] = {source: None}
     queue = deque([source])
@@ -125,11 +164,13 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
         cur = queue.popleft()
         fresh = [m for m in _moves(instance, cur) if m[0] not in parent]
         if mixed_sizes:
-            fresh.sort(key=lambda m: _members(m[0], n))
+            fresh.sort(
+                key=lambda m: ((m[0] | m[0] - 1) & full) << 1 | (m[0] < cur), reverse=True
+            )
         else:
             fresh.sort(reverse=True)
         for nxt, needs_test in fresh:
-            if needs_test and not g.separates(s, t, _members(nxt, n)):
+            if needs_test and not _separates(nbr, n, s, t, nxt):
                 continue
             if len(parent) >= state_cap:
                 raise ResourceLimitError(
@@ -182,8 +223,11 @@ def certify(instance: ReconfigInstance, seq: ReconfigSequence) -> ReconfigSequen
 
 
 def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> list[State]:
-    """All separator states within the rule's cardinality bounds."""
-    g, s, t = instance.graph, instance.s, instance.t
+    """All separator states within the rule's cardinality bounds, in
+    canon order: one :func:`_separates` mask search per subset of the
+    non-terminals within those bounds."""
+    g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
+    nbr = _neighbour_masks(g)
     pool = [v for v in g.vertices() if v not in (s, t)]
     if instance.rule is Rule.TAR:
         assert instance.k is not None
@@ -193,7 +237,7 @@ def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_
     states = []
     for r in sizes:
         for combo in combinations(pool, r):
-            if g.separates(s, t, combo):
+            if _separates(nbr, n, s, t, _mask(combo, n)):
                 states.append(frozenset(combo))
                 if len(states) > state_cap:
                     raise ResourceLimitError(f"state cap {state_cap} exceeded")
@@ -224,10 +268,10 @@ def export_reconfig_graph(instance: ReconfigInstance, state_cap: int = DEFAULT_S
 
     Edges come from :func:`_moves` of each state, each candidate looked
     up among the enumerated states instead of tested again.  The cost is
-    the enumeration (one O(n + m) test per subset within the size
-    bounds) plus O(k n) candidates per state, not a test of every state
-    pair.  Edges are listed by index of their first end, then of their
-    second."""
+    the enumeration (one mask search per subset within the size bounds,
+    O(reached vertices) big-int operations) plus O(k n) candidates per
+    state, not a test of every state pair.  Edges are listed by index of
+    their first end, then of their second."""
     states = enumerate_states(instance, state_cap)
     n = instance.graph.n
     masks = [_mask(st, n) for st in states]

@@ -5,11 +5,14 @@ from itertools import combinations
 import pytest
 
 from vsreconf.errors import ResourceLimitError
-from vsreconf.graph import cycle_graph
+from vsreconf.graph import Graph, cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule, Solution
 from vsreconf.oracle import (
     DEFAULT_STATE_CAP,
     ReconfigGraph,
+    _mask,
+    _neighbour_masks,
+    _separates,
     export_reconfig_graph,
     solve_bfs,
     states_adjacent,
@@ -34,15 +37,15 @@ def c5_instance(rule, source, target, k=None):
     )
 
 
-def random_instances(seed, count, max_n=8):
-    """Seeded instances on random connected graphs with n = 4..max_n:
+def random_instances(seed, count, max_n=8, p=0.5):
+    """Seeded instances on random connected G(n, p) with n = 4..max_n:
     one TS or TJ instance, then TAR between two separators of any sizes
     with k from the larger endpoint up to +2, so that removals and
     additions of different sizes meet among one state's candidates."""
     rng = random.Random(seed)
     made = 0
     while made < count:
-        g = random_connected_graph(rng, rng.randint(4, max_n))
+        g = random_connected_graph(rng, rng.randint(4, max_n), p)
         pairs = list(nonadjacent_pairs(g))
         if not pairs:
             continue
@@ -162,6 +165,43 @@ def exported_neighbours(instance, st):
     return {b for a, b in edges if a == st} | {a for a, b in edges if b == st}
 
 
+class TestSeparatesKernel:
+    def test_matches_graph_separates_random(self):
+        """The mask search against ``Graph.separates`` on G(n, p), not
+        resampled to be connected, for n = 2..14 and p = 0.05..0.95, with
+        an isolated s or t now and then, and `removed` empty, holding t,
+        holding N(s), or a random subset."""
+        rng = random.Random(41)
+        answers = set()
+        for _ in range(1500):
+            n = rng.randint(2, 14)
+            p = rng.choice([0.05, 0.2, 0.35, 0.5, 0.65, 0.8, 0.95])
+            s, t = rng.sample(range(n), 2)
+            lonely = rng.choice([None, s, t, None, None])
+            edges = [
+                (a, b)
+                for a in range(n)
+                for b in range(a + 1, n)
+                if rng.random() < p and lonely not in (a, b)
+            ]
+            g = Graph(n, edges)
+            nbr = _neighbour_masks(g)
+            rest = [v for v in range(n) if v not in (s, t)]
+            for removed in (
+                set(),
+                {t},
+                g.neighbors(s) - {t},
+                g.neighbors(s) | {t},
+                set(rng.sample(rest, rng.randint(0, len(rest)))),
+            ):
+                want = g.separates(s, t, removed)
+                assert _separates(nbr, n, s, t, _mask(removed, n)) == want, (
+                    n, sorted(edges), s, t, sorted(removed)
+                )
+                answers.add(want)
+        assert answers == {True, False}
+
+
 class TestRuleNeighbors:
     """Rule-adjacent separators of one state, as the export lists them;
     ``TestExport`` checks every exported edge against an all-pairs
@@ -241,6 +281,40 @@ class TestSolveBfs:
             assert got.reachable == want.reachable
             assert got.sequence == want.sequence
             assert got.states_explored == want.states_explored
+
+    def test_sparse_and_dense_match_unfiltered_search_random(self):
+        """`random_instances` draws G(n, 0.5); here p is 0.2 and 0.8."""
+        rules = set()
+        for p, seed in ((0.2, 43), (0.8, 47)):
+            for inst in random_instances(seed, 25, max_n=9, p=p):
+                rules.add(inst.rule)
+                got, want = solve_bfs(inst), reference_solve_bfs(inst)
+                assert got.reachable == want.reachable
+                assert got.sequence == want.sequence
+                assert got.states_explored == want.states_explored
+                assert export_reconfig_graph(inst) == reference_export(inst)
+        assert rules == set(Rule)
+
+    def test_search_calls_graph_separates_only_to_certify(self, monkeypatch):
+        """The search tests candidates through the mask kernel; the one
+        ``Graph.separates`` call per certificate state is `certify`'s."""
+        calls = []
+        plain = Graph.separates
+        monkeypatch.setattr(
+            Graph, "separates", lambda g, *a: calls.append(a) or plain(g, *a)
+        )
+        answers = set()
+        fig1 = figure1_graph()
+        fixed = [
+            ReconfigInstance(fig1, FIG1_S, FIG1_T, rule, FIG1_SA, FIG1_SB)
+            for rule in (Rule.TS, Rule.TJ)
+        ]
+        for inst in [*fixed, *random_instances(53, 15)]:
+            calls.clear()
+            res = solve_bfs(inst)
+            answers.add(res.reachable)
+            assert len(calls) == (len(res.sequence) if res.reachable else 0)
+        assert answers == {True, False}
 
     def test_state_cap_boundary_matches_unfiltered_search_random(self):
         for inst in random_instances(11, 30, max_n=9):
