@@ -1,7 +1,7 @@
 """Ground-truth brute-force solver.
 
-Explicit BFS over the reconfiguration graph for all three rules, exact
-shortest distances, DOT export, and the certificate check: rule
+Bidirectional BFS over the reconfiguration graph for all three rules,
+exact shortest distances, DOT export, and the certificate check: rule
 adjacency (:func:`states_adjacent`), :func:`verify_sequence`, and
 :func:`certify`, which every solver calls once on the walk it returns.
 
@@ -10,18 +10,20 @@ at bit n - 1 - v; states are frozensets only where they enter and where
 they are returned.  One move generator, :func:`_moves`, lists the
 rule-adjacent candidate masks of a state for the search and the
 export.  A candidate is built and looked up in O(1) int operations.
-The search tests a candidate for separation only while it is
-unreached, so the parent and siblings of a dequeued state cost a hash
-lookup, not a search of the graph.  Each unreached candidate costs one
-mask search, :func:`_separates`: O(reached vertices) big-int operations
-over a table of neighbourhood masks, stopping as soon as it meets t.
-The certificate check keeps ``Graph.separates`` on frozenset states,
-so the search kernel never certifies its own walk.
+The search grows BFS layers from the source and from the target, and
+tests a candidate for separation only while neither side holds it, so
+reached states cost a hash lookup, not a search of the graph.  Each
+such candidate costs one mask search, :func:`_separates`: O(reached
+vertices) big-int operations over a table of neighbourhood masks,
+stopping as soon as it meets t.  The walk returned is the one a
+one-sided BFS from the source finds, rebuilt by lookups in the
+corridor of shortest paths, and the state cap counts the states either
+side reached.  The certificate check keeps ``Graph.separates`` on
+frozenset states, so the search kernel never certifies its own walk.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterator
@@ -138,55 +140,96 @@ def states_adjacent(rule: Rule, a: State, b: State, graph: Graph, k: int | None 
 
 
 def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> Solution:
-    """Shortest-path BFS in the implicit reconfiguration graph.
+    """Shortest-path BFS from both ends of the implicit reconfiguration
+    graph, returning the walk that one-sided BFS from the source finds.
 
     States are int masks (vertex v at bit n - 1 - v) until the
-    certificate is returned.  The candidates of a dequeued state that
-    are still unreached are tested for separation in :func:`canon`
-    order, and each one that separates is reached from it.  Under TS
-    and TJ every candidate has k tokens, and canon order is descending
-    mask order.  TAR mixes sizes: there a candidate c sorts, descending,
-    by c with every bit below its lowest one set, and a removal wins a
-    tie, since the shorter member list is then a prefix of the longer.
-    A dequeued state yields O(k n) candidates (O(k Δ) under TS), each
-    built, ordered and looked up in O(1) int operations, and costs one
-    :func:`_separates` per candidate still unreached: a mask search from
-    s of O(reached vertices) big-int operations that stops when it meets
-    t.  The state cap counts reached states."""
+    certificate is returned.  Each round grows a full layer on the side
+    with the smaller frontier, the source side on a tie.  The search
+    stops after the first layer that meets the other ball, at distance
+    a + b, or answers NO when a frontier runs dry.  The source side
+    keeps `parent` and reaches the candidates of each state in
+    :func:`canon` order, so its layers come out in one-sided BFS order;
+    the target side keeps only `dist_t` and does not sort.  Under TS and
+    TJ canon order is descending mask order.  TAR mixes sizes: there a
+    candidate c sorts, descending, by c with every bit below its lowest
+    one set, and a removal wins a tie, since the shorter member list is
+    then a prefix of the longer.  A state yields O(k n) candidates
+    (O(k Δ) under TS), each built, ordered and looked up in O(1) int
+    operations; one outside both balls costs a :func:`_separates`, a
+    mask search of O(reached vertices) big-int operations.
+
+    One-sided BFS ranks a layer-i state by its earliest layer-(i - 1)
+    neighbour, then by canon, and each layer-(i - 1) neighbour of a state
+    on a shortest path is on one too.  So the walk is rebuilt in that
+    corridor: from the meeting states in source-layer order, each layer
+    is replayed by `dist_t` lookups, with no separation test, and first
+    parents lead from the target to the meeting layer, `parent` on to
+    the source.  `states_explored` and the state cap count the states
+    either side reached."""
     g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
     source, target = _mask(instance.source, n), _mask(instance.target, n)
     nbr = _neighbour_masks(g)
     full = (1 << n) - 1
     mixed_sizes = instance.rule is Rule.TAR
-    parent: dict[int, int | None] = {source: None}
-    queue = deque([source])
-    while queue and target not in parent:
-        cur = queue.popleft()
-        fresh = [m for m in _moves(instance, cur) if m[0] not in parent]
+    if len({source, target}) > state_cap:
+        raise ResourceLimitError(
+            f"state cap {state_cap} exceeded while solving {instance.describe()}"
+        )
+
+    def in_canon_order(cur: int, moves: list[tuple[int, bool]]) -> list[tuple[int, bool]]:
         if mixed_sizes:
-            fresh.sort(
-                key=lambda m: ((m[0] | m[0] - 1) & full) << 1 | (m[0] < cur), reverse=True
-            )
+            moves.sort(key=lambda m: ((m[0] | m[0] - 1) & full) << 1 | (m[0] < cur), reverse=True)
         else:
-            fresh.sort(reverse=True)
-        for nxt, needs_test in fresh:
-            if needs_test and not _separates(nbr, n, s, t, nxt):
-                continue
-            if len(parent) >= state_cap:
-                raise ResourceLimitError(
-                    f"state cap {state_cap} exceeded while solving {instance.describe()}"
-                )
-            parent[nxt] = cur
-            if nxt == target:
-                break
-            queue.append(nxt)
-    if target not in parent:
-        return Solution(False, states_explored=len(parent))
+            moves.sort(reverse=True)
+        return moves
+
+    def grow(frontier: list[int], ball: dict, other: dict, forward: bool) -> tuple[list[int], int]:
+        layer, meets = [], 0
+        for cur in frontier:
+            fresh = [m for m in _moves(instance, cur) if m[0] not in ball]
+            for nxt, needs_test in in_canon_order(cur, fresh) if forward else fresh:
+                if nxt in other:
+                    meets += 1
+                elif needs_test and not _separates(nbr, n, s, t, nxt):
+                    continue
+                elif len(ball) + len(other) - meets >= state_cap:
+                    raise ResourceLimitError(
+                        f"state cap {state_cap} exceeded while solving {instance.describe()}"
+                    )
+                ball[nxt] = cur if forward else ball[cur] + 1
+                layer.append(nxt)
+        return layer, meets
+
+    parent: dict[int, int | None] = {source: None}
+    dist_t = {target: 0}
+    fwd, bwd, meets = [source], [target], int(source == target)
+    while fwd and bwd and not meets:
+        if len(fwd) <= len(bwd):
+            fwd, meets = grow(fwd, parent, dist_t, True)
+        else:
+            bwd, meets = grow(bwd, dist_t, parent, False)
+    if not meets:
+        return Solution(False, states_explored=len(parent) + len(dist_t))
+    layer = [v for v in fwd if v in dist_t]
+    first: dict[int, int] = {}
+    for j in range(dist_t[layer[0]] - 1, -1, -1):
+        below = []
+        for cur in layer:
+            fresh = [
+                m for m in _moves(instance, cur) if dist_t.get(m[0]) == j and m[0] not in first
+            ]
+            for nxt, _ in in_canon_order(cur, fresh):
+                first[nxt] = cur
+                below.append(nxt)
+        layer = below
     chain = [target]
+    while chain[-1] in first:
+        chain.append(first[chain[-1]])
     while parent[chain[-1]] is not None:
         chain.append(parent[chain[-1]])  # type: ignore[arg-type]
     seq: ReconfigSequence = [frozenset(_members(m, n)) for m in reversed(chain)]
-    return Solution(True, certify(instance, seq), len(parent))
+    return Solution(True, certify(instance, seq), len(parent) + len(dist_t) - meets)
 
 
 def verify_sequence(instance: ReconfigInstance, seq: ReconfigSequence) -> VerifyResult:

@@ -150,6 +150,15 @@ def random_series_parallel_graph(rng: random.Random, n: int) -> Graph:
     return Graph(nverts, [(u, v) for u, v in edges if u != v])
 
 
+def grid_graph(rows: int, cols: int) -> Graph:
+    """The rows x cols grid, vertex r * cols + c."""
+    return Graph(rows * cols, [
+        (r * cols + c, r * cols + c + d)
+        for r in range(rows) for c in range(cols) for d in (1, cols)
+        if (d == 1 and c + 1 < cols) or (d == cols and r + 1 < rows)
+    ])
+
+
 def ladder_edges(m: int) -> list[tuple[int, int]]:
     """The 2 x m ladder: rails 0..m-1 and m..2m-1, rungs i - (m + i)."""
     rails = [(i, i + 1) for i in range(m - 1)] + [(m + i, m + i + 1) for i in range(m - 1)]

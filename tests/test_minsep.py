@@ -21,6 +21,7 @@ from vsreconf.sequence import carry
 
 from fixtures import (
     all_labeled_connected_graphs,
+    grid_graph,
     nonadjacent_pairs,
     random_connected_graph,
 )
@@ -161,19 +162,12 @@ class TestTameSolve:
             done += 1
 
 
-def grid_3xm(m):
-    """3 x m grid, vertex r * m + c."""
-    edges = [(r * m + c, r * m + c + 1) for r in range(3) for c in range(m - 1)]
-    edges += [(r * m + c, (r + 1) * m + c) for r in range(2) for c in range(m)]
-    return Graph(3 * m, edges)
-
-
 class TestTameMatchesOracle:
     """tame_solve against exhaustive search on graphs with many minimal
     separators, under TAR and TJ."""
 
     CASES = [(cycle_graph(n), 0, n // 2) for n in (5, 6, 7, 8)] + [
-        (grid_3xm(m), m, 2 * m - 1) for m in (3, 4)
+        (grid_graph(3, m), m, 2 * m - 1) for m in (3, 4)
     ]
 
     @pytest.mark.parametrize("rule", [Rule.TAR, Rule.TJ])

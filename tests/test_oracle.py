@@ -26,6 +26,7 @@ from fixtures import (
     FIG1_SB,
     FIG1_T,
     figure1_graph,
+    grid_graph,
     nonadjacent_pairs,
     random_connected_graph,
 )
@@ -128,6 +129,42 @@ def reference_solve_bfs(instance, state_cap=DEFAULT_STATE_CAP):
         seq.append(parent[seq[-1]])
     seq.reverse()
     return Solution(True, seq, len(parent))
+
+
+def reference_solve_bidir(instance, state_cap=DEFAULT_STATE_CAP):
+    """Full BFS layers from both ends, the smaller frontier first and the
+    source side on a tie, until a layer meets the other ball or a
+    frontier runs dry; every adjacent separator of a frontier state is
+    reached.  `states_explored` counts the states either side reached.
+    The walk joins the parent chains through one meeting state: a
+    shortest walk, not always the one-sided search's."""
+    source, target = instance.source, instance.target
+    if len({source, target}) > state_cap:
+        raise ResourceLimitError(f"state cap {state_cap} exceeded")
+    balls = [{source: None}, {target: None}]
+    fronts = [[source], [target]]
+    met = [source] if source == target else []
+    while all(fronts) and not met:
+        side = 0 if len(fronts[0]) <= len(fronts[1]) else 1
+        ball, other = balls[side], balls[1 - side]
+        layer = []
+        for cur in fronts[side]:
+            for nxt in reference_moves(instance, cur) - ball.keys():
+                if nxt in other:
+                    met.append(nxt)
+                elif len(ball) + len(other) - len(met) >= state_cap:
+                    raise ResourceLimitError(f"state cap {state_cap} exceeded")
+                ball[nxt] = cur
+                layer.append(nxt)
+        fronts[side] = layer
+    explored = len(balls[0]) + len(balls[1]) - len(met)
+    if not met:
+        return Solution(False, states_explored=explored)
+    halves = [[met[0]], [met[0]]]
+    for ball, half in zip(balls, halves):
+        while ball[half[-1]] is not None:
+            half.append(ball[half[-1]])
+    return Solution(True, halves[0][::-1] + halves[1][1:], explored)
 
 
 def reference_export(instance):
@@ -262,8 +299,6 @@ class TestSolveBfs:
             if not pairs:
                 continue
             s, t = rng.choice(pairs)
-            from vsreconf.separators import brute_force_separators
-
             seps = [x for x in brute_force_separators(g, s, t) if len(x) == 2]
             if len(seps) < 2:
                 continue
@@ -278,9 +313,13 @@ class TestSolveBfs:
     def test_matches_unfiltered_search_random(self):
         for inst in random_instances(7, 80, max_n=9):
             got, want = solve_bfs(inst), reference_solve_bfs(inst)
-            assert got.reachable == want.reachable
+            twin = reference_solve_bidir(inst)
+            assert got.reachable == want.reachable == twin.reachable
             assert got.sequence == want.sequence
-            assert got.states_explored == want.states_explored
+            assert got.states_explored == twin.states_explored
+            if twin.reachable:
+                assert twin.distance == want.distance
+                assert verify_sequence(inst, twin.sequence)
 
     def test_sparse_and_dense_match_unfiltered_search_random(self):
         """`random_instances` draws G(n, 0.5); here p is 0.2 and 0.8."""
@@ -291,7 +330,7 @@ class TestSolveBfs:
                 got, want = solve_bfs(inst), reference_solve_bfs(inst)
                 assert got.reachable == want.reachable
                 assert got.sequence == want.sequence
-                assert got.states_explored == want.states_explored
+                assert got.states_explored == reference_solve_bidir(inst).states_explored
                 assert export_reconfig_graph(inst) == reference_export(inst)
         assert rules == set(Rule)
 
@@ -319,11 +358,66 @@ class TestSolveBfs:
     def test_state_cap_boundary_matches_unfiltered_search_random(self):
         for inst in random_instances(11, 30, max_n=9):
             explored = solve_bfs(inst).states_explored
-            for search in (solve_bfs, reference_solve_bfs):
+            for search in (solve_bfs, reference_solve_bidir):
                 assert search(inst, state_cap=explored).states_explored == explored
                 if explored > 1:  # one state is reached without an insertion
                     with pytest.raises(ResourceLimitError):
                         search(inst, state_cap=explored - 1)
+
+    def test_corridor_ties_match_one_sided_search(self):
+        """Cycles and 3 x m grids have many shortest walks, so the walk
+        rebuilt in the corridor is checked where ties between them are
+        broken: every rule, TAR bounds up to +2, pairs of separators of
+        one size up to 4."""
+        rng = random.Random(59)
+        graphs = [(cycle_graph(n), 0, n // 2) for n in range(4, 17)]
+        graphs += [(grid_graph(3, m), m, 2 * m - 1) for m in range(2, 6)]
+        lengths = set()
+        for g, s, t in graphs:
+            by_size = {}
+            for x in brute_force_separators(g, s, t, max_size=4):
+                by_size.setdefault(len(x), []).append(x)
+            for group in by_size.values():
+                for _ in range(4):
+                    a, b = rng.choice(group), rng.choice(group)
+                    low = len(a)
+                    for rule, k in [(Rule.TS, None), (Rule.TJ, None)] + [
+                        (Rule.TAR, bound) for bound in range(low, low + 3)
+                    ]:
+                        inst = ReconfigInstance(g, s, t, rule, a, b, k)
+                        got, want = solve_bfs(inst), reference_solve_bfs(inst)
+                        assert got.reachable == want.reachable
+                        assert got.sequence == want.sequence, inst.describe()
+                        lengths.add(len(got.sequence or ()))
+        assert max(lengths) >= 6
+
+    def test_c80_tj_searches_a_fraction_of_the_one_sided_ball(self):
+        """TJ with 3 tokens on C80: one-sided BFS reaches all 57,798
+        states before the target; the two balls meet at distance 3."""
+        inst = ReconfigInstance(
+            cycle_graph(80), 0, 40, Rule.TJ, frozenset({1, 2, 79}), frozenset({38, 39, 78})
+        )
+        res = solve_bfs(inst)
+        assert res.states_explored <= 0.15 * 57_798
+        assert res.sequence == [
+            frozenset({1, 2, 79}),
+            frozenset({1, 2, 78}),
+            frozenset({1, 38, 78}),
+            frozenset({38, 39, 78}),
+        ]
+
+    def test_frozen_target_stops_the_search(self):
+        """TS on the path s - 2 - 3 - 4 - t with the star 1 - 5, 5 - 6,
+        5 - 7 at t: the target {2, 3, 4} fills the path and has no slide,
+        while the source, one token on the path and two in the star, has
+        9 states in its component.  The dry target side answers NO
+        before the source side has reached them all."""
+        g = Graph(8, [(0, 2), (2, 3), (3, 4), (4, 1), (1, 5), (5, 6), (5, 7)])
+        inst = ReconfigInstance(g, 0, 1, Rule.TS, frozenset({2, 6, 7}), frozenset({2, 3, 4}))
+        got, want = solve_bfs(inst), reference_solve_bfs(inst)
+        assert not got.reachable and not want.reachable
+        assert want.states_explored == 9
+        assert got.states_explored == reference_solve_bidir(inst).states_explored == 5
 
     def test_tar_cardinality_bound_respected(self):
         inst = c5_instance(Rule.TAR, {1, 3}, {1, 4}, k=3)

@@ -17,7 +17,13 @@ from vsreconf.minsep import tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import brute_force_separators, is_minimal_separator
 
-from fixtures import nonadjacent_pairs, random_connected_graph, random_series_parallel_graph, theta_graph
+from fixtures import (
+    grid_graph,
+    nonadjacent_pairs,
+    random_connected_graph,
+    random_series_parallel_graph,
+    theta_graph,
+)
 
 
 def F(*xs):
@@ -292,14 +298,6 @@ def test_layered_tame_answers_no(q, rule):
     res = solve(inst)
     assert res.engine == "tame" and not res.reachable
     assert not solve_bfs(inst).reachable
-
-
-def grid_graph(rows, cols):
-    return Graph(rows * cols, [
-        (r * cols + c, r * cols + c + d)
-        for r in range(rows) for c in range(cols) for d in (1, cols)
-        if (d == 1 and c + 1 < cols) or (d == cols and r + 1 < rows)
-    ])
 
 
 def matched_cliques(q):
