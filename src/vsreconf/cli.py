@@ -333,7 +333,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp_solve = sub.add_parser("solve", help="answer an instance (auto-dispatch)")
     sp_solve.add_argument("instance")
     sp_solve.add_argument("--sequence", action="store_true")
-    sp_solve.add_argument("--engine", choices=ENGINES, default="auto")
+    sp_solve.add_argument(
+        "--engine", choices=ENGINES, default="auto",
+        help="solver to use (default: auto); class answers TS NO by a token"
+        " count that holds on any graph, and needs the class for the rest",
+    )
     sp_solve.set_defaults(func=_cmd_solve)
 
     sp_oracle = sub.add_parser("oracle", help="exhaustive search / verification")

@@ -6,8 +6,10 @@ either (i) two cliques sharing a single cut vertex, (ii) two disjoint
 cliques whose cross edges form a matching, or (iii) the five-cycle.  On
 these graphs TAR and TJ instances are always reconfigurable (unless a
 TAR endpoint is stuck by minimality), by the cut-vertex rule of
-``solve_via_tj`` on shape (i) and a walk of its own on shape (ii), and
-TS instances reduce to token counting per clique plus a passage edge.
+``solve_via_tj`` on shape (i) and a walk of its own on shape (ii).  TS
+instances reduce to token counting per component once s, t and their
+common neighbours are removed; that NO rule holds on any graph, so the
+TS solver answers it before it asks for the class.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .oracle import solve_bfs
+from .oracle import solve_bfs, stranded_component
 from .separators import State, pad_state
 from .sequence import jumps
 from .tar_tj import solve_via_tj
@@ -235,34 +237,23 @@ def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
 def solve_ts_3p1d(instance: ReconfigInstance) -> Solution:
     """TS decision by token counting.
 
-    Cut-vertex shape: the cut vertex holds a token in every state and
-    splits the graph, so the answer is YES exactly when each clique
-    carries the same number of tokens in source and target.  Matched
-    shape: tokens change cliques only by sliding along a matching edge
-    with both endpoints free of terminals (a passage), so unequal counts
-    need such an edge.  Certificates come from exhaustive search; the
-    decision itself is the counting rule.
+    The NO rule, :func:`~vsreconf.oracle.stranded_component`, holds on
+    any graph, in or out of the class, and runs first: a component of
+    G - ({s, t} ∪ (N(s) ∩ N(t))) whose token count differs between
+    source and target makes the answer NO in O(n + m).  Only then must
+    the graph be in the class, where equal counts make the answer YES:
+    in the cut-vertex shape the components are the two cliques less the
+    cut vertex and the terminals; in the matched shape the passages
+    (matching edges with neither endpoint a terminal) are exactly what
+    joins the two cliques less the terminals and their matched partners;
+    the five-cycle is never stranded and always YES.  Certificates come
+    from exhaustive search.
     """
-    ch = _require_class(instance.graph)
     if instance.rule is not Rule.TS:
         raise InputError("expects a TS instance")
-    if isinstance(ch, SpecialC5):
-        return solve_bfs(instance)
-
-    s, t = instance.s, instance.t
-    sa, sb = instance.source, instance.target
-    # non-adjacent terminals lie in different cliques, neither on the cut vertex
-    qs = ch.q1 if s in ch.q1 else ch.q2
-    if isinstance(ch, CutVertexCliques):
-        side = qs - {ch.w}
-        yes = len(sa & side) == len(sb & side)
-    else:
-        passage = any(
-            s not in e and t not in e for e in ch.matching
-        )
-        yes = len(sa & qs) == len(sb & qs) or passage
-    if not yes:
+    if stranded_component(instance) is not None:
         return Solution(False)
+    _require_class(instance.graph)
     res = solve_bfs(instance)
     if not res.reachable:
         raise ContractViolationError("counting rule predicted YES; search says NO")

@@ -2,7 +2,10 @@
 a chosen engine, or picks one.
 
 ``auto`` takes the first route that applies.  A TS instance goes to the
-two-clique class solver, else to exhaustive search.  A TJ or TAR
+two-clique class solver, else to exhaustive search.  The class solver's
+TS NO rule, a token count per component, holds on any graph, so
+``class`` answers every TS instance that the count strands, in or out
+of the class, in O(n + m); only the rest need the class.  A TJ or TAR
 instance goes to the two-clique class solver, then to the series-parallel
 construction, and else to the tame-class solver; all three answer TAR
 through the TJ equivalence.

@@ -4,16 +4,19 @@ Bidirectional BFS over the reconfiguration graph for all three rules,
 exact shortest distances, DOT export, and the certificate check: rule
 adjacency (:func:`states_adjacent`), :func:`verify_sequence`, and
 :func:`certify`, which every solver calls once on the walk it returns.
+Beside them, :func:`stranded_component` is the TS token count that
+answers NO on any graph in O(n + m); the search itself never uses it.
 
 Inside the search and the export a state is an int mask with vertex v
 at bit n - 1 - v; states are frozensets only where they enter and where
-they are returned.  One move generator, :func:`_moves`, lists the
+they are returned.  One move function, :func:`_moves`, lists the
 rule-adjacent candidate masks of a state for the search and the
-export.  A candidate is built and looked up in O(1) int operations.
-The search grows BFS layers from the source and from the target, and
-tests a candidate for separation only while neither side holds it, so
-reached states cost a hash lookup, not a search of the graph.  Each
-such candidate costs one mask search, :func:`_separates`: O(reached
+export, from a per-search table of move bits.  A candidate is built
+and looked up in O(1) int operations.  The search grows BFS layers
+from the source and from the target, and tests a candidate for
+separation only while neither side holds it and no earlier test has
+rejected it, so a known state costs a hash lookup, not a search of the
+graph.  Each test is one mask search, :func:`_separates`: O(reached
 vertices) big-int operations over a table of neighbourhood masks,
 stopping as soon as it meets t.  The walk returned is the one a
 one-sided BFS from the source finds, rebuilt by lookups in the
@@ -26,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterator
-
 from .errors import ContractViolationError, ResourceLimitError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
@@ -94,33 +95,41 @@ def _separates(nbr: list[int], n: int, s: int, t: int, removed: int) -> bool:
     return True
 
 
-def _moves(instance: ReconfigInstance, st: int) -> Iterator[tuple[int, bool]]:
-    """Each state rule-adjacent to the mask `st` with no terminal in it,
-    as a mask paired with whether it still needs a separation test.
-    TAR additions need none when `st` separates, because a superset of
-    a separator separates.  Each candidate is yielded once."""
+def _move_table(instance: ReconfigInstance) -> list[list[int]]:
+    """Per vertex v, at index n - v as in :func:`_neighbour_masks`, the
+    bits of the non-terminals a token on v may move to: its neighbours
+    under TS, every vertex under TJ.  Under TAR every row lists every
+    non-terminal, the additions."""
     g, n = instance.graph, instance.graph.n
-    blocked = st | 1 << (n - 1 - instance.s) | 1 << (n - 1 - instance.t)
-    members = _members(st, n)
+    ends = (instance.s, instance.t)
 
-    if instance.rule is Rule.TAR:
-        k = instance.k
-        assert k is not None
-        for x in members:
-            yield st ^ 1 << (n - 1 - x), True
-        if len(members) < k:
-            for y in g.vertices():
-                bit = 1 << (n - 1 - y)
-                if not blocked & bit:
-                    yield st | bit, False
-        return
+    def bits(vs) -> list[int]:
+        return [1 << (n - 1 - y) for y in sorted(vs) if y not in ends]
 
-    for x in members:
-        rest = st ^ 1 << (n - 1 - x)
-        for y in g.neighbors(x) if instance.rule is Rule.TS else g.vertices():
-            bit = 1 << (n - 1 - y)
-            if not blocked & bit:
-                yield rest | bit, True
+    if instance.rule is Rule.TS:
+        return [[]] + [bits(g.neighbors(v)) for v in reversed(g.vertices())]
+    return [bits(g.vertices())] * (n + 1)
+
+
+def _moves(instance: ReconfigInstance, table: list[list[int]], st: int) -> list[int]:
+    """Each mask rule-adjacent to the mask `st` with no terminal in it,
+    once, over the table of :func:`_move_table`.  Under TAR a candidate
+    that holds `st` (``c & st == st``) is an addition, which separates
+    whenever `st` does; every other candidate needs a separation test."""
+    tar = instance.rule is Rule.TAR
+    out = []
+    rest = st
+    while rest:
+        top = rest.bit_length()
+        bit = 1 << (top - 1)
+        rest ^= bit
+        if tar:
+            out.append(st ^ bit)
+        else:
+            out += [(st ^ bit) | y for y in table[top] if not st & y]
+    if tar and st.bit_count() < instance.k:  # type: ignore[operator]
+        out += [st | y for y in table[0] if not st & y]
+    return out
 
 
 def states_adjacent(rule: Rule, a: State, b: State, graph: Graph, k: int | None = None) -> bool:
@@ -156,8 +165,10 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
     one set, and a removal wins a tie, since the shorter member list is
     then a prefix of the longer.  A state yields O(k n) candidates
     (O(k Δ) under TS), each built, ordered and looked up in O(1) int
-    operations; one outside both balls costs a :func:`_separates`, a
-    mask search of O(reached vertices) big-int operations.
+    operations; one outside both balls and not yet rejected costs a
+    :func:`_separates`, a mask search of O(reached vertices) big-int
+    operations, and a rejected mask is kept so that it is not tested
+    again.
 
     One-sided BFS ranks a layer-i state by its earliest layer-(i - 1)
     neighbour, then by canon, and each layer-(i - 1) neighbour of a state
@@ -169,7 +180,7 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
     either side reached."""
     g, s, t, n = instance.graph, instance.s, instance.t, instance.graph.n
     source, target = _mask(instance.source, n), _mask(instance.target, n)
-    nbr = _neighbour_masks(g)
+    nbr, table = _neighbour_masks(g), _move_table(instance)
     full = (1 << n) - 1
     mixed_sizes = instance.rule is Rule.TAR
     if len({source, target}) > state_cap:
@@ -177,21 +188,24 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
             f"state cap {state_cap} exceeded while solving {instance.describe()}"
         )
 
-    def in_canon_order(cur: int, moves: list[tuple[int, bool]]) -> list[tuple[int, bool]]:
+    def in_canon_order(cur: int, moves: list[int]) -> list[int]:
         if mixed_sizes:
-            moves.sort(key=lambda m: ((m[0] | m[0] - 1) & full) << 1 | (m[0] < cur), reverse=True)
+            moves.sort(key=lambda c: ((c | c - 1) & full) << 1 | (c < cur), reverse=True)
         else:
             moves.sort(reverse=True)
         return moves
 
+    rejected: set[int] = set()  # candidates that failed the separation test
+
     def grow(frontier: list[int], ball: dict, other: dict, forward: bool) -> tuple[list[int], int]:
         layer, meets = [], 0
         for cur in frontier:
-            fresh = [m for m in _moves(instance, cur) if m[0] not in ball]
-            for nxt, needs_test in in_canon_order(cur, fresh) if forward else fresh:
+            fresh = [c for c in _moves(instance, table, cur) if c not in ball and c not in rejected]
+            for nxt in in_canon_order(cur, fresh) if forward else fresh:
                 if nxt in other:
                     meets += 1
-                elif needs_test and not _separates(nbr, n, s, t, nxt):
+                elif nxt & cur != cur and not _separates(nbr, n, s, t, nxt):
+                    rejected.add(nxt)
                     continue
                 elif len(ball) + len(other) - meets >= state_cap:
                     raise ResourceLimitError(
@@ -217,9 +231,9 @@ def solve_bfs(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) ->
         below = []
         for cur in layer:
             fresh = [
-                m for m in _moves(instance, cur) if dist_t.get(m[0]) == j and m[0] not in first
+                c for c in _moves(instance, table, cur) if dist_t.get(c) == j and c not in first
             ]
-            for nxt, _ in in_canon_order(cur, fresh):
+            for nxt in in_canon_order(cur, fresh):
                 first[nxt] = cur
                 below.append(nxt)
         layer = below
@@ -263,6 +277,24 @@ def certify(instance: ReconfigInstance, seq: ReconfigSequence) -> ReconfigSequen
     if not check:
         raise ContractViolationError(f"constructed sequence invalid: {check.reason}")
     return seq
+
+
+def stranded_component(instance: ReconfigInstance) -> frozenset[int] | None:
+    """For a TS instance, a component of G - ({s, t} ∪ (N(s) ∩ N(t))) on
+    which the source and target hold different numbers of tokens, else
+    None (always None under TJ and TAR).  A returned component makes the
+    answer NO on any graph: each common neighbour w of s and t lies in
+    every separator, since s-w-t is a path, so its token never moves and
+    no token slides onto it, and no token slides onto s or t; so a slide
+    keeps every token inside its component.  One components pass,
+    O(n + m)."""
+    if instance.rule is not Rule.TS:
+        return None
+    g, s, t = instance.graph, instance.s, instance.t
+    for comp in g.components({s, t} | (g.neighbors(s) & g.neighbors(t))):
+        if len(instance.source & comp) != len(instance.target & comp):
+            return frozenset(comp)
+    return None
 
 
 def enumerate_states(instance: ReconfigInstance, state_cap: int = DEFAULT_STATE_CAP) -> list[State]:
@@ -319,10 +351,11 @@ def export_reconfig_graph(instance: ReconfigInstance, state_cap: int = DEFAULT_S
     n = instance.graph.n
     masks = [_mask(st, n) for st in states]
     index = {m: i for i, m in enumerate(masks)}
+    table = _move_table(instance)
     edges = []
     for i, a in enumerate(masks):
         later = sorted(
-            j for j in (index.get(b, -1) for b, _ in _moves(instance, a)) if j > i
+            j for j in (index.get(b, -1) for b in _moves(instance, table, a)) if j > i
         )
         edges.extend((states[i], states[j]) for j in later)
     return ReconfigGraph(states, edges, instance.rule, instance.k)

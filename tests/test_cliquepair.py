@@ -17,7 +17,7 @@ from vsreconf.cliquepair import (
 from vsreconf.errors import InputError, NotApplicableError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
-from vsreconf.oracle import solve_bfs, verify_sequence
+from vsreconf.oracle import solve_bfs, stranded_component, verify_sequence
 from vsreconf.separators import brute_force_separators
 
 from fixtures import (
@@ -346,3 +346,47 @@ def test_matches_oracle_on_random_class_instances():
         if res_tar.reachable:
             assert verify_sequence(tar, res_tar.sequence)
         done += 1
+
+
+def class_shapes(n):
+    """Every cut-vertex and matched-cliques graph on n vertices, up to
+    isomorphism: cliques {0..c} and {c..n-1} glued at c, and cliques
+    {0..c-1} and {c..n-1} joined by the matching i-(c + i), i < size."""
+    for c in range(1, n - 1):
+        yield Graph(n, list(itertools.combinations(range(c + 1), 2))
+                    + list(itertools.combinations(range(c, n), 2)))
+    for c in range(2, n - 1):
+        for size in range(1, min(c, n - c) + 1):
+            yield Graph(n, list(itertools.combinations(range(c), 2))
+                        + list(itertools.combinations(range(c, n), 2))
+                        + [(i, c + i) for i in range(size)])
+
+
+def test_class_ts_is_yes_unless_stranded():
+    # on every class shape with n <= 9 and on C5, each TS pair of
+    # separators that the count rule does not strand is YES; reachability
+    # is an equivalence, so each group of equal counts is checked as a
+    # star from its first member
+    graphs = [cycle_graph(5)] + [g for n in range(4, 10) for g in class_shapes(n)]
+    pairs = 0
+    for g in graphs:
+        assert not isinstance(characterize(g), NotInScope), g.to_text()
+        for s, t in itertools.combinations(g.vertices(), 2):
+            if g.has_edge(s, t):
+                continue
+            groups = {}
+            for x in sorted(brute_force_separators(g, s, t), key=sorted):
+                groups.setdefault(len(x), []).append(x)
+            for group in groups.values():
+                while group:
+                    a = group[0]
+                    rest = []
+                    for b in group:
+                        inst = ReconfigInstance(g, s, t, Rule.TS, a, b)
+                        if stranded_component(inst) is not None:
+                            rest.append(b)
+                            continue
+                        assert solve_bfs(inst).reachable, (g.to_text(), s, t, sorted(a), sorted(b))
+                        pairs += 1
+                    group = rest
+    assert pairs > 1000

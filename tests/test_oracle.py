@@ -1,6 +1,6 @@
 import random
 from collections import deque
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -16,6 +16,7 @@ from vsreconf.oracle import (
     export_reconfig_graph,
     solve_bfs,
     states_adjacent,
+    stranded_component,
     verify_sequence,
 )
 from vsreconf.separators import brute_force_separators, canon
@@ -516,3 +517,65 @@ class TestExport:
                 assert res.distance == want
                 for a, b in zip(res.sequence, res.sequence[1:]):
                     assert (a, b) in edges or (b, a) in edges
+
+
+def check_stranded_witness(inst, comp):
+    """Check a witness of the TS count rule from the definitions alone: a
+    connected vertex set that avoids s, t and their common neighbours,
+    has no other neighbour outside it, and holds different token counts
+    in the source and the target."""
+    g, s, t = inst.graph, inst.s, inst.t
+    fixed = {s, t} | {w for w in g.vertices() if g.has_edge(w, s) and g.has_edge(w, t)}
+    assert comp and not comp & fixed
+    outside = {y for x in comp for y in g.neighbors(x)} - comp
+    assert outside <= fixed
+    start = min(comp)
+    assert g.reachable_from(start, frozenset(g.vertices()) - comp) == comp
+    assert sum(v in comp for v in inst.source) != sum(v in comp for v in inst.target)
+
+
+class TestStrandedComponent:
+    def test_witness_implies_no_on_random_graphs(self):
+        # every TS pair of same-size separators, on seeded random graphs
+        rng = random.Random(2203)
+        stranded = agree = 0
+        for _ in range(200):
+            g = random_connected_graph(rng, rng.randint(4, 8), rng.choice((0.3, 0.5)))
+            pairs = list(nonadjacent_pairs(g))
+            if not pairs:
+                continue
+            s, t = rng.choice(pairs)
+            by_size = {}
+            for x in brute_force_separators(g, s, t):
+                by_size.setdefault(len(x), []).append(x)
+            for group in by_size.values():
+                for a, b in product(group, repeat=2):
+                    inst = ReconfigInstance(g, s, t, Rule.TS, a, b)
+                    comp = stranded_component(inst)
+                    if comp is None:
+                        continue
+                    stranded += 1
+                    check_stranded_witness(inst, comp)
+                    res = solve_bfs(inst)
+                    assert not res.reachable, (g.to_text(), s, t, sorted(a), sorted(b))
+                    agree += 1
+        assert stranded == agree > 2000
+
+    def test_only_ts_is_counted(self):
+        # on C7 the sides of s = 0 and t = 3 hold two and one tokens in
+        # the source, one and two in the target
+        g = cycle_graph(7)
+        for rule, k in ((Rule.TJ, None), (Rule.TAR, 3)):
+            inst = ReconfigInstance(g, 0, 3, rule, {1, 2, 4}, {1, 4, 5}, k)
+            assert stranded_component(inst) is None
+        inst = ReconfigInstance(g, 0, 3, Rule.TS, {1, 2, 4}, {1, 4, 5})
+        assert stranded_component(inst) == frozenset({1, 2})
+        assert not solve_bfs(inst).reachable
+
+    def test_common_neighbours_are_removed(self):
+        # s and t share neighbour 1, which every separator holds; the
+        # tokens on the rest of the cycle C6 + chord 1-4 stay on their side
+        g = Graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (1, 4)])
+        inst = ReconfigInstance(g, 0, 2, Rule.TS, {1, 4}, {1, 5})
+        assert stranded_component(inst) is None
+        assert solve_bfs(inst).reachable

@@ -4,6 +4,7 @@ import io
 import itertools
 import random
 import sys
+import time
 
 import pytest
 
@@ -367,3 +368,17 @@ def test_solve_answers_are_pinned(solve_outputs):
     for code, out in solve_outputs:
         h.update(f"{code}\n{out.splitlines()[0]}\n".encode())
     assert h.hexdigest() == "9d2acea91b86f95f36ba95b9aadca8d3243afb3664af6f0e8948d47594723fb9"
+
+
+def test_ts_cycle_with_unequal_sides_is_answered_by_counting():
+    # C400, s = 0, t = 200: the source holds one token on the side of
+    # 1..199 and two on the other, the target two and one; the count rule
+    # answers NO without a search, where the search closes a ball of
+    # tens of thousands of states
+    g = cycle_graph(400)
+    inst = ReconfigInstance(g, 0, 200, Rule.TS, F(1, 201, 202), F(1, 2, 201))
+    t0 = time.perf_counter()
+    res = solve(inst)
+    took = time.perf_counter() - t0
+    assert not res.reachable and res.engine == "class" and res.states_explored == 0
+    assert took < 1.0
