@@ -61,7 +61,8 @@ def _positive_int(text: str) -> int:
 
 def _read(path: str) -> str:
     try:
-        return Path(path).read_text()
+        with open(path) as fh:
+            return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
@@ -73,19 +74,18 @@ def _parse_ids(tokens: list[str], what: str) -> frozenset[int]:
         raise InputError(f"bad id in {what}: {tokens!r}") from exc
 
 
-def _parse_graph_value(tokens: list[str], base: Path) -> Graph:
+def _parse_graph_value(tokens: list[str], path: str) -> Graph:
+    """The ``graph`` field of the instance file at ``path``: a graph file
+    named relative to that file's directory, or an inline graph."""
     if not tokens:
         raise InputError("empty graph field")
     if len(tokens) == 1 and not tokens[0].isdigit():
-        return Graph.from_text(_read(str(base / tokens[0])))
+        return Graph.from_text(_read(str(Path(path).parent / tokens[0])))
     try:
         n = int(tokens[0])
         if n > MAX_VERTICES:
             raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
-        edges = []
-        for tok in tokens[1:]:
-            a, _, b = tok.partition("-")
-            edges.append((int(a), int(b)))
+        edges = [(int(a), int(b)) for a, _, b in (tok.partition("-") for tok in tokens[1:])]
     except ValueError as exc:
         raise InputError(f"bad inline graph: {' '.join(tokens)!r}") from exc
     return Graph(n, edges)
@@ -121,8 +121,7 @@ def _scalar(tokens: list[str], what: str) -> int:
 
 def load_instance(path: str) -> ReconfigInstance:
     fields = _parse_keyword_file(path)
-    base = Path(path).parent
-    g = _parse_graph_value(_require(fields, "graph", path), base)
+    g = _parse_graph_value(_require(fields, "graph", path), path)
     rule = Rule.parse(" ".join(_require(fields, "rule", path)))
     k = _scalar(fields["k"], "k value") if "k" in fields else None
     s = _scalar(_require(fields, "s", path), "terminal id")
@@ -140,8 +139,7 @@ def load_instance(path: str) -> ReconfigInstance:
 
 def load_isr_instance(path: str) -> IsrInstance:
     fields = _parse_keyword_file(path)
-    base = Path(path).parent
-    g = _parse_graph_value(_require(fields, "graph", path), base)
+    g = _parse_graph_value(_require(fields, "graph", path), path)
     rule = Rule.parse(" ".join(_require(fields, "rule", path)))
     return IsrInstance(
         g,

@@ -122,8 +122,8 @@ def characterize(g: Graph) -> Characterization:
 
     Every in-scope shape has at least C(floor(n/2), 2) + C(ceil(n/2), 2)
     edges (two cliques covering the vertices; the five-cycle meets the
-    bound), so sparser graphs are refused after the linear-time
-    connectivity check, before any quadratic work.
+    bound), so sparser graphs are refused by that O(1) edge count first,
+    before the linear-time connectivity check and any quadratic work.
 
     The two-clique shapes are read off one pass over the complement's
     neighbour sets with one 2-colouring: the complement of two cliques
@@ -135,13 +135,13 @@ def characterize(g: Graph) -> Characterization:
     n, m = g.n, len(g.edges)
     if n < 4:
         return NotInScope("fewer than 4 vertices")
-    if not g.is_connected():
-        return NotInScope("disconnected")
     if m == n * (n - 1) // 2:
         return NotInScope("complete graph")
     half = n // 2
     if m < half * (half - 1) // 2 + (n - half) * (n - half - 1) // 2:
         return _OUT_OF_CLASS
+    if not g.is_connected():
+        return NotInScope("disconnected")
     comps = _complement_sides(g)
     isolated = [left for left, right in comps if not right]
     if len(comps) == 2 and len(isolated) == 1:

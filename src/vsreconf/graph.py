@@ -24,10 +24,6 @@ Edge = tuple[int, int]
 MAX_VERTICES = 100_000
 
 
-def _norm_edge(a: int, b: int) -> Edge:
-    return (a, b) if a < b else (b, a)
-
-
 class Graph:
     """A finite simple undirected graph."""
 
@@ -37,21 +33,18 @@ class Graph:
         if n < 0:
             raise InputError("vertex count must be nonnegative")
         adj: list[set[int]] = [set() for _ in range(n)]
-        es: set[Edge] = set()
+        es: set[Edge] = set()  # a repeated edge collapses here and in adj
         for a, b in edges:
             if not (0 <= a < n and 0 <= b < n):
                 raise InputError(f"edge ({a},{b}) has an endpoint outside [0,{n})")
             if a == b:
                 raise InputError(f"self-loop at vertex {a}")
-            e = _norm_edge(a, b)
-            if e in es:
-                continue
-            es.add(e)
+            es.add((a, b) if a < b else (b, a))
             adj[a].add(b)
             adj[b].add(a)
         self.n = n
         self.edges = frozenset(es)
-        self._adj = tuple(frozenset(s) for s in adj)
+        self._adj = tuple(map(frozenset, adj))
 
     # -- basic queries ------------------------------------------------
 
@@ -220,14 +213,18 @@ class Graph:
             c, v = v, parent[v]
         return sorted(cuts)
 
-    def blocks(self) -> list[frozenset[Edge]]:
+    def blocks(self, connected: bool = False) -> list[frozenset[Edge]] | None:
         """Biconnected components as edge sets (bridges come out as
         single-edge blocks), from one lowpoint DFS.  The tree edge into v
         opens a block when low[v] >= disc[parent], and otherwise joins its
         parent's; every edge belongs with the tree edge into its later
         discovered end.  Ordered by smallest edge, which orders them as
-        their sorted edge lists would, since blocks share no edge."""
+        their sorted edge lists would, since blocks share no edge.  With
+        ``connected``, None instead if the DFS needs a second root, that
+        is, if the graph is disconnected (n <= 1 counts as connected)."""
         order, disc, low, parent = self._lowpoints(range(self.n))
+        if connected and parent.count(-1) > 1:
+            return None
         block = list(range(self.n))  # the block of the tree edge into v
         for v in order:
             p = parent[v]

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 from .errors import ContractViolationError, InputError, NotApplicableError
@@ -53,6 +52,8 @@ class PSTree:
     support: dict[int, int]  # created vertex -> subdivided edge id
     order: list[int]
     leaves: frozenset[int]
+    # endpoint pair, stored as (min, max) -> ids of the edges joining it, ascending
+    pair_edges: dict[tuple[int, int], list[int]]
 
     # -- structural lookups -------------------------------------------------
 
@@ -74,17 +75,8 @@ class PSTree:
             x for x in tokens if x in self.support and eid in self.ancestors(self.support[x])
         )
 
-    @cached_property
-    def _pair_edges(self) -> dict[tuple[int, int], list[int]]:
-        """Endpoint pair, stored as (min, max) -> ids of the edges joining
-        it, ascending."""
-        index: dict[tuple[int, int], list[int]] = {}
-        for e, ends in self.endpoints.items():
-            index.setdefault(ends, []).append(e)
-        return index
-
     def edges_with_endpoints(self, u: int, v: int) -> list[int]:
-        return list(self._pair_edges.get((u, v) if u < v else (v, u), ()))
+        return list(self.pair_edges.get((u, v) if u < v else (v, u), ()))
 
     def epsilon(self, u: int, v: int) -> int:
         return sum(
@@ -171,98 +163,105 @@ def build_ps_tree(block_edges: Iterable[tuple[int, int]]) -> PSTree:
     series-parallel graph has.  The block is simple: an edge given twice
     raises InputError.
 
-    One max-heap of degree-2 vertices and ``live``, the live edge of
-    each endpoint pair, pick every reduction (after Valdes, Tarjan and
-    Lawler).  A simple block starts with no parallel pair, and a series
-    step at w replaces the edges u-w, w-v by one u-v edge, so it creates
-    a parallel pair only at u-v, and only if u-v is already live; that
-    pair is reduced at once.  So at most one parallel pair is ever live,
-    and it is the one the rule "parallel first, lowest edge id" would
-    pick next: edge ids, ``order``, ``op``, ``parent`` and ``support``
-    equal those of a rescan after every step.  Degrees never grow (a
-    series step keeps those of u and v, a parallel one lowers them), so
-    a vertex enters the heap once, when its degree reaches 2.  The cost
-    is O(m log m) for the m edges of the block.
+    One max-heap of degree-2 vertices and one map per vertex, from each
+    other endpoint to the live edge joining them, pick every reduction
+    (after Valdes, Tarjan and Lawler).  A simple block starts with no
+    parallel pair, and a series step at w replaces the edges u-w, w-v by
+    one u-v edge, so it creates a parallel pair only at u-v, and only if
+    u-v is already live; that pair is reduced at once.  So at most one
+    parallel pair is ever live, a map holds every live edge, and the
+    pair is the one the rule "parallel first, lowest edge id" would pick
+    next: edge ids, ``order``, ``op``, ``parent`` and ``support`` equal
+    those of a rescan after every step.  Degrees never grow (a series
+    step keeps those of u and v, a parallel one lowers them), so a
+    vertex enters the heap once, when its degree reaches 2.
+    ``pair_edges`` is filled as each edge is created; ids ascend, so its
+    lists come out sorted.  The cost is O(m log m) for the m edges of
+    the block.
     """
     endpoints: dict[int, tuple[int, int]] = dict(
         enumerate(sorted((a, b) if a < b else (b, a) for a, b in block_edges))
     )
     leaves = frozenset(endpoints)
-    live: dict[tuple[int, int], int] = {}
-    incident: dict[int, set[int]] = {}
-    for e, pair in endpoints.items():
-        if pair in live:
-            raise InputError(f"edge {pair} repeats in the block")
-        live[pair] = e
-        for x in pair:
-            incident.setdefault(x, set()).add(e)
-    block_vertices = frozenset(incident)
-    refusal = f"block is not series-parallel: vertices {sorted(block_vertices)}"
+    pair_edges = {pair: [e] for e, pair in endpoints.items()}
+    if len(pair_edges) < len(endpoints):
+        pair = next(endpoints[e] for e in endpoints if e and endpoints[e] == endpoints[e - 1])
+        raise InputError(f"edge {pair} repeats in the block")
+    nbr: dict[int, dict[int, int]] = {}  # vertex -> {other endpoint: live edge id}
+    for e, (a, b) in endpoints.items():
+        if a in nbr:
+            nbr[a][b] = e
+        else:
+            nbr[a] = {b: e}
+        if b in nbr:
+            nbr[b][a] = e
+        else:
+            nbr[b] = {a: e}
+    block_vertices = frozenset(nbr)
+
+    def refusal() -> NotApplicableError:  # the message is built only when raised
+        vertices = sorted(block_vertices)
+        return NotApplicableError(f"block is not series-parallel: vertices {vertices}")
+
     if len(endpoints) > 2 * len(block_vertices) - 3:
-        raise NotApplicableError(refusal)
+        raise refusal()
 
     op: dict[int, tuple[str, int | None, tuple[int, int]]] = {}
     parent: dict[int, int] = {}
     support: dict[int, int] = {}
-    reductions: list[int] = []
     next_id = len(endpoints)
-    degree2 = [-v for v, inc in incident.items() if len(inc) == 2]
+    degree2 = [-v for v, ends in nbr.items() if len(ends) == 2]
     heapq.heapify(degree2)
-    while len(live) > 1:
+    # each reduction retires one live edge, and m edges need m - 1
+    while next_id < 2 * len(leaves) - 1:
         # an entry goes stale only when a parallel step leaves its vertex
         # with one edge
-        while degree2 and len(incident[-degree2[0]]) != 2:
+        while degree2 and len(nbr[-degree2[0]]) != 2:
             heapq.heappop(degree2)
         if not degree2:
-            raise NotApplicableError(refusal)
+            raise refusal()
         # series reduction at the highest degree-2 vertex; its two edges
         # end at distinct vertices, or they would form a parallel pair
         w = -heapq.heappop(degree2)
-        e1, e2 = incident[w]
+        (u, e1), (v, e2) = nbr.pop(w).items()
         if e1 > e2:
-            e1, e2 = e2, e1
-        x, y = endpoints[e1]
-        u = y if x == w else x
-        x, y = endpoints[e2]
-        v = y if x == w else x
-        incident[u].discard(e1)
-        incident[v].discard(e2)
-        del live[endpoints[e1]], live[endpoints[e2]]
+            u, e1, v, e2 = v, e2, u, e1
+        nu, nv = nbr[u], nbr[v]
+        del nu[w], nv[w]
         m = next_id
         next_id += 1
         parent[e1] = parent[e2] = m
         op[m] = ("S", w, (e1, e2) if u < v else (e2, e1))
         support[w] = m
-        reductions.append(m)
-        pair = (u, v) if u < v else (v, u)
-        endpoints[m] = pair
-        twin = live.get(pair)
-        if twin is not None:
+        endpoints[m] = pair = (u, v) if u < v else (v, u)
+        twin = nu.get(v)
+        if twin is None:  # the first u-v edge: only a step at u or v retires one for good
+            pair_edges[pair] = [m]
+        else:
             # parallel reduction of the pair just created
             p = next_id
             next_id += 1
             parent[twin] = parent[m] = p
             op[p] = ("P", None, (twin, m))
-            reductions.append(p)
             endpoints[p] = pair
-            for x in pair:
-                incident[x].discard(twin)
+            pair_edges[pair] += [m, p]
             m = p
-        live[pair] = m
-        for x in pair:
-            incident[x].add(m)
-            if twin is not None and len(incident[x]) == 2:
-                heapq.heappush(degree2, -x)
-    root = next_id - 1
+            for x, nx in ((u, nu), (v, nv)):
+                if len(nx) == 2:
+                    heapq.heappush(degree2, -x)
+        nu[v] = nv[u] = m
+    # ids are created in reduction order, so the construction replays them
+    # from the root down
     tree = PSTree(
         block_vertices=block_vertices,
-        root_edge=root,
+        root_edge=next_id - 1,
         endpoints=endpoints,
         op=op,
         parent=parent,
         support=support,
-        order=reductions[::-1],
+        order=list(range(next_id - 1, len(leaves) - 1, -1)),
         leaves=leaves,
+        pair_edges=pair_edges,
     )
     if tree.order and tree.op[tree.order[0]][0] != "P":
         raise ContractViolationError("construction must start with a parallel step")
@@ -285,14 +284,16 @@ class SPDecomposition:
 def recognize_and_decompose(g: Graph) -> SPDecomposition:
     """Construction trees for every 2-connected block, in the order of
     ``Graph.blocks``.  A disconnected graph, or a block that is not
-    series-parallel (named in the message), raises NotApplicableError.
+    series-parallel (named in the message), raises NotApplicableError;
+    connectivity is read off the lowpoint DFS that finds the blocks.
     Each block goes to :func:`build_ps_tree` as it comes, which sorts its
     edges once."""
-    if not g.is_connected():
+    blocks = g.blocks(connected=True)
+    if blocks is None:
         raise NotApplicableError("decomposition expects a connected graph")
     trees = []
     k2 = []
-    for block in g.blocks():
+    for block in blocks:
         if len(block) == 1:
             (edge,) = block
             k2.append(frozenset(edge))

@@ -339,6 +339,12 @@ class TestRecognize:
         code, out, _ = run(capsys, "recognize", gfile)
         assert code == 0 and out.startswith("not-in-scope")
 
+    def test_sparse_disconnected_refused_by_edge_count(self, capsys, tmp_path):
+        gfile = write_graph(tmp_path, "apart.graph", Graph(6, [(0, 1), (2, 3)]))
+        code, out, _ = run(capsys, "recognize", gfile)
+        assert code == 0
+        assert out == "not-in-scope: not two overlapping cliques or a five-cycle\n"
+
     def test_peanut_p4(self, capsys, tmp_path):
         gfile = write_graph(tmp_path, "p4.graph", path_graph(4))
         code, out, _ = run(capsys, "recognize", gfile, "--family", "peanut")
@@ -361,6 +367,17 @@ class TestDecompose:
         gfile = write_graph(tmp_path, "k4.graph", complete_graph(4))
         code, out, _ = run(capsys, "decompose", gfile)
         assert code == 0 and out.startswith("not-series-parallel")
+
+    def test_disconnected_and_bowtie(self, capsys, tmp_path):
+        triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+        code, out, _ = run(capsys, "decompose", write_graph(tmp_path, "two.graph", triangles))
+        assert code == 0
+        assert out == "not-series-parallel: decomposition expects a connected graph\n"
+        bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        code, out, _ = run(capsys, "decompose", write_graph(tmp_path, "bowtie.graph", bowtie))
+        assert code == 0 and out.splitlines() == [
+            "(P 0-1 0-1 (S@2 0-1 0-2 1-2))", "(P 2-3 2-3 (S@4 2-3 2-4 3-4))",
+        ]
 
     def test_path_bridges(self, capsys, tmp_path):
         gfile = write_graph(tmp_path, "p3.graph", path_graph(3))
@@ -410,6 +427,30 @@ class TestInstanceFiles:
         p.write_text("graph g.graph\ns 1\nt 3\nrule TJ\nsource 0 2\ntarget 0 2\n")
         inst = load_instance(str(p))
         assert inst.graph == cycle_graph(4)
+
+    def test_graph_path_resolves_against_the_instance_directory(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        # a same-named graph in the working directory is not the one read
+        (tmp_path / "sub").mkdir()
+        write_graph(tmp_path, "g.graph", cycle_graph(5))
+        write_graph(tmp_path / "sub", "g.graph", cycle_graph(4))
+        (tmp_path / "sub" / "ref.inst").write_text(
+            "graph g.graph\ns 1\nt 3\nrule TJ\nsource 0 2\ntarget 0 2\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        assert load_instance("sub/ref.inst").graph == cycle_graph(4)
+        (tmp_path / "sub" / "g.graph").unlink()
+        code, out, err = run(capsys, "solve", "sub/ref.inst")
+        assert code == 2 and out == "" and err.startswith("error: cannot read sub/g.graph:")
+
+    @pytest.mark.parametrize("token", ["1-2-3", "3", "-1-2", "a-b"])
+    def test_bad_inline_edge_exit_2(self, capsys, tmp_path, token):
+        p = tmp_path / "bad.inst"
+        p.write_text(f"graph 4 0-1 {token} 2-3\ns 0\nt 3\nrule TJ\nsource 1\ntarget 1\n")
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == ""
+        assert err == f"error: bad inline graph: '4 0-1 {token} 2-3'\n"
 
     def test_format_round_trip(self, tmp_path):
         inst = load_instance(

@@ -147,7 +147,12 @@ class TestCharacterize:
         assert isinstance(characterize(path_graph(3)), NotInScope)
 
     def test_disconnected_not_in_scope(self):
-        assert isinstance(characterize(Graph(4, [(0, 1), (2, 3)])), NotInScope)
+        # dense enough for the edge count, so refused by connectivity
+        assert characterize(Graph(4, [(0, 1), (2, 3)])) == NotInScope("disconnected")
+        # too sparse: refused by the edge count, before connectivity is read
+        assert characterize(Graph(6, [(0, 1), (2, 3)])) == NotInScope(
+            "not two overlapping cliques or a five-cycle"
+        )
 
     def test_figure2(self):
         ch = characterize(figure2_graph())

@@ -32,6 +32,30 @@ class TestGraphBasics:
     def test_duplicate_edges_collapse(self):
         g = Graph(3, [(0, 1), (1, 0)])
         assert len(g.edges) == 1
+        g = Graph(4, [(0, 1), (2, 1), (0, 1), (1, 0), (1, 2), (3, 2)])
+        assert g.edges == {(0, 1), (1, 2), (2, 3)}
+        assert g.neighbors(1) == {0, 2} and g.degree(2) == 2
+        assert g == path_graph(4)
+
+    def test_edges_from_a_generator(self):
+        edges = [(3, 0), (0, 1), (2, 1), (1, 3), (3, 0)]
+        g = Graph(4, (e for e in edges))
+        assert g == Graph(4, edges) and g.edges == Graph(4, edges).edges
+        assert [g.neighbors(v) for v in g.vertices()] == [
+            Graph(4, edges).neighbors(v) for v in range(4)
+        ]
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(0, 1), (0, 3), (2, 2)], "edge (0,3) has an endpoint outside [0,3)"),
+        ([(0, 1), (-1, 2), (2, 2)], "edge (-1,2) has an endpoint outside [0,3)"),
+        ([(0, 1), (2, 2), (0, 3)], "self-loop at vertex 2"),
+        ([(1, 2), (5, 5)], "edge (5,5) has an endpoint outside [0,3)"),
+    ])
+    def test_first_bad_edge_named(self, edges, message):
+        for given in (edges, iter(edges)):
+            with pytest.raises(InputError) as exc:
+                Graph(3, given)
+            assert str(exc.value) == message
 
     def test_text_roundtrip(self):
         g = figure1_graph()
@@ -113,9 +137,12 @@ class TestBiconnectivity:
             spans = [{v for e in b for v in e} for b in blocks]
             shared = {v for v in g.vertices() if sum(v in sp for sp in spans) >= 2}
             assert shared == want
+            # the same DFS reads connectivity off its root count
+            assert g.blocks(connected=True) == (blocks if base <= 1 else None)
             seen_disconnected += base > 1
             seen_isolated += any(g.degree(v) == 0 for v in g.vertices())
         assert seen_disconnected > 500 and seen_isolated > 500
+        assert Graph(0).blocks(connected=True) == Graph(1).blocks(connected=True) == []
 
     def test_blocks_and_cut_vertices_match_networkx(self):
         nx = pytest.importorskip("networkx")

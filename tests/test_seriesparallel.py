@@ -76,6 +76,10 @@ class TestConstructionTree:
     def test_repeated_edge_rejected(self):
         with pytest.raises(InputError, match="repeats"):
             build_ps_tree([(0, 1), (1, 2), (0, 2), (2, 1)])
+        # the first repeated pair in sorted order is named
+        with pytest.raises(InputError) as exc:
+            build_ps_tree([(3, 4), (0, 1), (2, 3), (4, 3), (1, 2), (2, 0), (1, 0)])
+        assert str(exc.value) == "edge (0, 1) repeats in the block"
 
     def test_k4_block_named_in_error(self):
         g = Graph(5, list(complete_graph(4).edges) + [(3, 4)])
@@ -124,8 +128,26 @@ class TestConstructionTree:
             assert tree.to_term() == render(tree, tree.root_edge)
 
     def test_disconnected_not_applicable(self):
-        with pytest.raises(NotApplicableError):
-            recognize_and_decompose(Graph(4, [(0, 1), (2, 3)]))
+        for g in (
+            Graph(4, [(0, 1), (2, 3)]),
+            Graph(5, [(0, 1), (1, 2), (2, 3), (3, 0)]),  # vertex 4 beside a C4
+            Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]),  # two triangles
+        ):
+            with pytest.raises(NotApplicableError) as exc:
+                recognize_and_decompose(g)
+            assert str(exc.value) == "decomposition expects a connected graph"
+
+    def test_connectivity_edge_cases(self):
+        for n in (0, 1):
+            decomp = recognize_and_decompose(Graph(n))
+            assert decomp.trees == [] and decomp.k2_blocks == []
+        # two triangles sharing the cut vertex 2
+        bowtie = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+        decomp = recognize_and_decompose(bowtie)
+        assert [tree.to_term() for tree in decomp.trees] == [
+            "(P 0-1 0-1 (S@2 0-1 0-2 1-2))", "(P 2-3 2-3 (S@4 2-3 2-4 3-4))",
+        ]
+        assert decomp.k2_blocks == []
 
 
 def reference_build_ps_tree(block_edges):
@@ -178,23 +200,32 @@ def reference_build_ps_tree(block_edges):
                 f"block is not series-parallel: vertices {sorted(block_vertices)}"
             )
     (root,) = live
+    pair_edges = {}
+    for e in sorted(endpoints):
+        pair_edges.setdefault(endpoints[e], []).append(e)
     return PSTree(
         block_vertices, root, endpoints, op, parent, support,
-        list(reversed(reductions)), leaves,
+        list(reversed(reductions)), leaves, pair_edges,
     )
 
 
 PSTREE_FIELDS = (
     "endpoints", "op", "parent", "support", "order", "leaves", "root_edge", "block_vertices",
+    "pair_edges",
 )
 
 
 def _outcome(build, edges):
-    """Every recorded field of the tree, or the refusal message."""
+    """Every recorded field of the tree, or the refusal message.  The
+    pair lookup of every built tree is checked against a scan of its
+    endpoints."""
     try:
         tree = build(edges)
     except NotApplicableError as exc:
         return str(exc)
+    for u, v in set(tree.endpoints.values()):
+        want = [e for e in sorted(tree.endpoints) if tree.endpoints[e] == (u, v)]
+        assert tree.edges_with_endpoints(u, v) == tree.edges_with_endpoints(v, u) == want
     return {name: getattr(tree, name) for name in PSTREE_FIELDS}
 
 
