@@ -220,6 +220,13 @@ class TestOracle:
         assert code == 2 and out == ""
         assert err.strip() == "error: vertex id 9 outside [0,4)"
 
+    def test_verify_file_without_states_exit_2(self, capsys, tmp_path):
+        inst = write_instance(tmp_path, "p4.inst", path_graph(4), 0, 3, "TJ", {1}, {2})
+        seqfile = tmp_path / "seq.txt"
+        seqfile.write_text("# nothing here\n")
+        code, out, err = run(capsys, "oracle", inst, "--verify", str(seqfile))
+        assert code == 2 and out == "" and err == f"error: no states in {seqfile}\n"
+
 
 class TestSeparators:
     def test_c4(self, capsys, tmp_path):
@@ -282,6 +289,14 @@ class TestConvert:
         code, _, err = run(capsys, "convert", inst, "--to", "tj")
         assert code == 2 and "error:" in err
 
+    def test_tar_to_tar_exit_2(self, capsys, tmp_path):
+        inst = write_instance(
+            tmp_path, "c5.inst", cycle_graph(5), 0, 2, "TAR", {1, 3}, {1, 4}, k=3,
+        )
+        code, out, err = run(capsys, "convert", inst, "--to", "tar")
+        assert code == 2 and out == ""
+        assert err == "error: convert --to tar expects a TJ instance\n"
+
     def test_convert_preserves_answer(self, capsys, tmp_path):
         inst = fig1_instance(tmp_path, "TJ")
         code, out, _ = run(capsys, "convert", inst, "--to", "tar")
@@ -328,6 +343,13 @@ class TestRecognize:
         lines = out.splitlines()
         assert code == 0 and lines[0] == "cut-vertex-cliques w=2"
         assert lines[1] == "q1 0 1 2" and lines[2] == "q2 2 3 4"
+
+    def test_prism_matched_cliques(self, capsys, tmp_path):
+        g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (0, 3), (1, 4), (2, 5)])
+        gfile = write_graph(tmp_path, "prism.graph", g)
+        code, out, _ = run(capsys, "recognize", gfile)
+        assert code == 0
+        assert out.splitlines() == ["matched-cliques", "q1 0 1 2", "q2 3 4 5", "matching 0-3 1-4 2-5"]
 
     def test_c5(self, capsys, tmp_path):
         gfile = write_graph(tmp_path, "c5.graph", cycle_graph(5))
@@ -427,6 +449,15 @@ class TestInstanceFiles:
         p.write_text("graph g.graph\ns 1\nt 3\nrule TJ\nsource 0 2\ntarget 0 2\n")
         inst = load_instance(str(p))
         assert inst.graph == cycle_graph(4)
+
+    def test_comment_and_blank_lines_between_fields(self, capsys, tmp_path):
+        p = tmp_path / "c6.inst"
+        p.write_text(
+            "# a six-cycle\ngraph 6 0-1 1-2 2-3 3-4 4-5 5-0\n\ns 0\n  # terminals\nt 3\n"
+            "\nrule TJ\nsource 1 5\n\n# endpoints\ntarget 2 4\n"
+        )
+        code, out, _ = run(capsys, "solve", str(p), "--sequence")
+        assert code == 0 and out.splitlines() == ["YES", "1 5", "1 4", "2 4"]
 
     def test_graph_path_resolves_against_the_instance_directory(
         self, capsys, tmp_path, monkeypatch
@@ -528,6 +559,8 @@ class TestRefusals:
     @pytest.mark.parametrize("fields, message", [
         ({"rule": "XY"}, "unknown rule 'XY'"),
         ({"t": "0"}, "terminals must be distinct"),
+        ({"t": "1"}, "terminals are adjacent: no separator exists"),
+        ({"source": "1 x"}, "bad id in source: ['1', 'x']"),
         ({"rule": "TAR"}, "TAR requires a positive bound k"),
         ({"rule": "TAR", "k": "0"}, "TAR requires a positive bound k"),
         ({"rule": "TAR", "k": "1"}, "endpoint state exceeds the TAR bound"),

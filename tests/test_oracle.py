@@ -444,6 +444,12 @@ class TestVerifySequence:
         seq = [frozenset({1, 3}), frozenset({1, 3, 4}), frozenset({1, 4})]
         assert verify_sequence(inst, seq)
 
+    @pytest.mark.parametrize("rule, k", [(Rule.TS, None), (Rule.TJ, None), (Rule.TAR, 3)])
+    def test_repeated_state_is_not_a_step(self, rule, k):
+        inst = c5_instance(rule, {1, 3}, {1, 3}, k)
+        res = verify_sequence(inst, [frozenset({1, 3}), frozenset({1, 3})])
+        assert not res and res.reason == f"states 0 and 1 are not {rule.value}-adjacent"
+
     def test_wrong_endpoint(self):
         inst = c5_instance(Rule.TJ, {1, 3}, {1, 4})
         res = verify_sequence(inst, [frozenset({1, 3}), frozenset({1, 3})])
