@@ -35,6 +35,7 @@ from .graph import MAX_VERTICES, Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .minsep import enumerate_minimal_separators
 from .oracle import DEFAULT_STATE_CAP, export_reconfig_graph, solve_bfs, verify_sequence
+from .separators import State, format_state
 from .seriesparallel import recognize_and_decompose
 from .tar_tj import tar_to_tj_instance, tj_to_tar_instance
 
@@ -119,36 +120,28 @@ def _scalar(tokens: list[str], what: str) -> int:
         raise InputError(f"bad {what}: {' '.join(tokens)!r}") from exc
 
 
-def load_instance(path: str) -> ReconfigInstance:
+def _load_shared(path: str) -> tuple[dict[str, list[str]], Graph, Rule, State, State]:
+    """The fields of instance file ``path``, with graph, rule, source and target read."""
     fields = _parse_keyword_file(path)
     g = _parse_graph_value(_require(fields, "graph", path), path)
     rule = Rule.parse(" ".join(_require(fields, "rule", path)))
+    source, target = (_parse_ids(_require(fields, key, path), key) for key in ("source", "target"))
+    return fields, g, rule, source, target
+
+
+def load_instance(path: str) -> ReconfigInstance:
+    fields, g, rule, source, target = _load_shared(path)
     k = _scalar(fields["k"], "k value") if "k" in fields else None
     s = _scalar(_require(fields, "s", path), "terminal id")
     t = _scalar(_require(fields, "t", path), "terminal id")
-    return ReconfigInstance(
-        g,
-        s,
-        t,
-        rule,
-        _parse_ids(_require(fields, "source", path), "source"),
-        _parse_ids(_require(fields, "target", path), "target"),
-        k,
-    )
+    return ReconfigInstance(g, s, t, rule, source, target, k)
 
 
 def load_isr_instance(path: str) -> IsrInstance:
-    fields = _parse_keyword_file(path)
-    g = _parse_graph_value(_require(fields, "graph", path), path)
-    rule = Rule.parse(" ".join(_require(fields, "rule", path)))
-    return IsrInstance(
-        g,
-        _parse_ids(_require(fields, "parta", path), "parta"),
-        _parse_ids(_require(fields, "partb", path), "partb"),
-        rule,
-        _parse_ids(_require(fields, "source", path), "source"),
-        _parse_ids(_require(fields, "target", path), "target"),
-    )
+    fields, g, rule, source, target = _load_shared(path)
+    part_a = _parse_ids(_require(fields, "parta", path), "parta")
+    part_b = _parse_ids(_require(fields, "partb", path), "partb")
+    return IsrInstance(g, part_a, part_b, rule, source, target)
 
 
 def _inline_graph(g: Graph) -> str:
@@ -164,19 +157,19 @@ def format_instance(inst: ReconfigInstance) -> str:
     ]
     if inst.k is not None:
         lines.append(f"k {inst.k}")
-    lines.append("source " + " ".join(map(str, sorted(inst.source))))
-    lines.append("target " + " ".join(map(str, sorted(inst.target))))
+    lines.append("source " + format_state(inst.source))
+    lines.append("target " + format_state(inst.target))
     return "\n".join(lines) + "\n"
 
 
 def format_isr_instance(inst: IsrInstance) -> str:
     lines = [
         f"graph {_inline_graph(inst.graph)}",
-        "parta " + " ".join(map(str, sorted(inst.part_a))),
-        "partb " + " ".join(map(str, sorted(inst.part_b))),
+        "parta " + format_state(inst.part_a),
+        "partb " + format_state(inst.part_b),
         f"rule {inst.rule.value}",
-        "source " + " ".join(map(str, sorted(inst.source))),
-        "target " + " ".join(map(str, sorted(inst.target))),
+        "source " + format_state(inst.source),
+        "target " + format_state(inst.target),
     ]
     return "\n".join(lines) + "\n"
 
@@ -185,7 +178,7 @@ def _print_answer(sol: Solution, with_sequence: bool) -> None:
     print("YES" if sol.reachable else "NO")
     if with_sequence and sol.sequence is not None:
         for st in sol.sequence:
-            print(" ".join(map(str, sorted(st))))
+            print(format_state(st))
 
 
 def _load_sequence(path: str, g: Graph) -> ReconfigSequence:
@@ -228,7 +221,7 @@ def _cmd_separators(args: argparse.Namespace) -> int:
     g = Graph.from_text(_read(args.graph))
     family = enumerate_minimal_separators(g, args.s, args.t)
     for sep in family.sorted_members():
-        print(" ".join(map(str, sorted(sep))))
+        print(format_state(sep))
     return 0
 
 
@@ -268,21 +261,16 @@ def _cmd_recognize(args: argparse.Namespace) -> int:
             print("not-peanut")
         else:
             print(f"peanut u={w.u} v={w.v}")
-            print("side-a " + " ".join(map(str, sorted(w.side_a))))
-            print("side-b " + " ".join(map(str, sorted(w.side_b))))
+            print("side-a " + format_state(w.side_a))
+            print("side-b " + format_state(w.side_b))
         return 0
     ch = characterize(g)
-    if isinstance(ch, CutVertexCliques):
-        print(f"cut-vertex-cliques w={ch.w}")
-        print("q1 " + " ".join(map(str, sorted(ch.q1))))
-        print("q2 " + " ".join(map(str, sorted(ch.q2))))
-    elif isinstance(ch, MatchedCliques):
-        print("matched-cliques")
-        print("q1 " + " ".join(map(str, sorted(ch.q1))))
-        print("q2 " + " ".join(map(str, sorted(ch.q2))))
-        print(
-            "matching " + " ".join(f"{a}-{b}" for a, b in sorted(ch.matching))
-        )
+    if isinstance(ch, (CutVertexCliques, MatchedCliques)):
+        print(f"cut-vertex-cliques w={ch.w}" if isinstance(ch, CutVertexCliques) else "matched-cliques")
+        print("q1 " + format_state(ch.q1))
+        print("q2 " + format_state(ch.q2))
+        if isinstance(ch, MatchedCliques):
+            print("matching " + " ".join(f"{a}-{b}" for a, b in sorted(ch.matching)))
     elif isinstance(ch, SpecialC5):
         print("five-cycle " + " ".join(map(str, ch.order)))
     else:

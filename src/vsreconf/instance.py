@@ -7,7 +7,8 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidInstanceError
 from .graph import Graph
-from .separators import State, check_state, is_separator  # noqa: F401 (read by bench/test_bench.py)
+from .separators import State, check_separable, check_state
+from .separators import is_separator  # noqa: F401 (read by bench/test_bench.py)
 
 ReconfigSequence = list[State]
 
@@ -60,14 +61,7 @@ class ReconfigInstance:
 
     def __post_init__(self):
         g, s, t = self.graph, self.s, self.t
-        if s == t:
-            raise InvalidInstanceError("terminals must be distinct")
-        g.check_vertex(s)
-        g.check_vertex(t)
-        if g.has_edge(s, t):
-            raise InvalidInstanceError(
-                "terminals are adjacent: no separator exists"
-            )
+        check_separable(g, s, t)
         object.__setattr__(self, "source", check_state(g, s, t, self.source))
         object.__setattr__(self, "target", check_state(g, s, t, self.target))
         for name, st in (("source", self.source), ("target", self.target)):

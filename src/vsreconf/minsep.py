@@ -35,7 +35,7 @@ from math import comb
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .separators import State, canon, check_state, shrink_to_minimal
+from .separators import State, canon, check_separable, shrink_to_minimal
 from .sequence import carry
 from .tar_tj import solve_via_tj
 
@@ -58,9 +58,7 @@ def enumerate_minimal_separators(
     """All minimal st-separators.  Every search stays in the component of
     t, so the graph need not be connected; when s lies in another
     component, the seed is empty and the family is {∅}."""
-    check_state(g, s, t, ())
-    if g.has_edge(s, t):
-        raise InputError("adjacent terminals admit no separator")
+    check_separable(g, s, t)
 
     seed = g.boundary(t, g.neighbors(s) | {s})
     found: set[State] = {seed}

@@ -134,8 +134,6 @@ def _moves(instance: ReconfigInstance, table: list[list[int]], st: int) -> list[
 
 def states_adjacent(rule: Rule, a: State, b: State, graph: Graph, k: int | None = None) -> bool:
     """Rule adjacency between two states (separator-ness not included)."""
-    if a == b:
-        return False
     if rule is Rule.TAR:
         assert k is not None
         return len(a ^ b) == 1 and max(len(a), len(b)) <= k

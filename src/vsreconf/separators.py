@@ -11,7 +11,7 @@ from collections import deque
 from itertools import combinations, islice
 from typing import Iterable
 
-from .errors import ContractViolationError, InputError
+from .errors import ContractViolationError, InputError, InvalidInstanceError
 from .graph import Graph
 
 State = frozenset[int]
@@ -22,7 +22,8 @@ def canon(s: Iterable[int]) -> tuple[int, ...]:
 
 
 def format_state(s: Iterable[int]) -> str:
-    return " ".join(str(v) for v in canon(s))
+    """A state as a line: its ids, ascending and space-separated."""
+    return " ".join(map(str, canon(s)))
 
 
 def _check_terminals(g: Graph, s: int, t: int) -> None:
@@ -30,6 +31,13 @@ def _check_terminals(g: Graph, s: int, t: int) -> None:
     g.check_vertex(t)
     if s == t:
         raise InputError("terminals must be distinct")
+
+
+def check_separable(g: Graph, s: int, t: int) -> None:
+    """Refuse terminals that no state separates: bad ids, equal or adjacent."""
+    _check_terminals(g, s, t)
+    if g.has_edge(s, t):
+        raise InvalidInstanceError("terminals are adjacent: no separator exists")
 
 
 def check_state(g: Graph, s: int, t: int, sep: Iterable[int]) -> State:
@@ -106,9 +114,7 @@ def brute_force_minimal_separators(g: Graph, s: int, t: int) -> set[State]:
 def minimum_separator_size(g: Graph, s: int, t: int) -> int:
     """Size of a minimum st-separator, by max-flow (vertex-disjoint
     paths; Menger).  Terminals must be non-adjacent."""
-    _check_terminals(g, s, t)
-    if g.has_edge(s, t):
-        raise InputError("no separator exists for adjacent terminals")
+    check_separable(g, s, t)
     # Split each non-terminal vertex v into v_in -> v_out with capacity 1
     # and run unit-capacity augmenting paths.
     n = g.n

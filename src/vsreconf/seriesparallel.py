@@ -26,7 +26,7 @@ from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import certify
-from .separators import State, is_minimal_separator, shrink_to_minimal
+from .separators import State, check_separable, is_minimal_separator, shrink_to_minimal
 from .sequence import carry
 from .tar_tj import solve_via_tj
 
@@ -398,10 +398,7 @@ def _pair(decomp: SPDecomposition, s: int, t: int) -> _Pair:
     and to have the size its shape predicts.  A pair that no block holds
     is split by a cut vertex and raises InputError."""
     g = decomp.graph
-    g.check_vertex(s)
-    g.check_vertex(t)
-    if s == t or g.has_edge(s, t):
-        raise InputError("expects distinct non-adjacent vertices")
+    check_separable(g, s, t)
     tree = decomp.tree_for(s, t)
     if tree is None:
         raise InputError("pair is split by a cut vertex: no block holds both terminals")

@@ -1,8 +1,11 @@
 import argparse
+import contextlib
+import io
 import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vsreconf.cli import build_parser, format_instance, load_instance, main
 from vsreconf.graph import MAX_VERTICES, Graph, complete_graph, cycle_graph, path_graph
@@ -243,6 +246,13 @@ class TestSeparators:
         gfile = write_graph(tmp_path, "two.graph", Graph(4, [(0, 1), (2, 3)]))
         code, out, _ = run(capsys, "separators", gfile, "0", "3")
         assert code == 0 and out == "\n"
+
+    def test_adjacent_terminals_exit_2(self, capsys, tmp_path):
+        # the message solve prints for the same pair
+        gfile = write_graph(tmp_path, "c6.graph", cycle_graph(6))
+        code, out, err = run(capsys, "separators", gfile, "0", "1")
+        assert code == 2 and out == ""
+        assert err == "error: terminals are adjacent: no separator exists\n"
 
 
 class TestConvert:
@@ -559,14 +569,14 @@ class TestRefusals:
     @pytest.mark.parametrize("fields, message", [
         ({"rule": "XY"}, "unknown rule 'XY'"),
         ({"t": "0"}, "terminals must be distinct"),
-        ({"t": "1"}, "terminals are adjacent: no separator exists"),
-        ({"source": "1 x"}, "bad id in source: ['1', 'x']"),
         ({"rule": "TAR"}, "TAR requires a positive bound k"),
         ({"rule": "TAR", "k": "0"}, "TAR requires a positive bound k"),
         ({"rule": "TAR", "k": "1"}, "endpoint state exceeds the TAR bound"),
         ({"k": "2"}, "TJ takes no bound k"),
         ({"rule": "TS", "k": "2"}, "TS takes no bound k"),
         ({"target": "1 2 5"}, "TJ needs equal-size endpoint states"),
+        ({"t": "1"}, "terminals are adjacent: no separator exists"),
+        ({"source": "1 x"}, "bad id in source: ['1', 'x']"),
     ])
     def test_instance(self, capsys, tmp_path, fields, message):
         lines = {"graph": "6 0-1 1-2 2-3 3-4 4-5 5-0", "s": "0", "t": "3", "rule": "TJ",
@@ -608,3 +618,76 @@ def test_parser_is_built_once(capsys, tmp_path):
     assert run(capsys, "solve")[0] == 1
     code, out, _ = run(capsys, "solve", fig1_instance(tmp_path, "TS"))
     assert code == 0 and out.splitlines()[0] == "NO"
+
+
+# the six-cycle instance whose fields and tokens the contract test mutates,
+# and the tokens it puts in: bad ids, huge and signed numbers, broken edges,
+# a self-loop, a non-ASCII digit, a rule and a key in a value's place
+C6_LINES = (("graph", "6", "0-1", "1-2", "2-3", "3-4", "4-5", "5-0"), ("s", "0"), ("t", "3"),
+            ("rule", "TJ"), ("source", "1", "5"), ("target", "2", "4"))
+POOL = ("-1", "x", "99999999999999999999", "1-", "0-0", "\u00b2", "100001", "TAR", "k", "#")
+TOKENS = st.sampled_from(POOL + tuple("0123456"))
+
+
+@st.composite
+def mutated_instances(draw):
+    lines = [list(line) for line in C6_LINES]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        j = draw(st.integers(0, max(len(line) - 1, 0)))
+        op = draw(st.sampled_from(["drop-line", "dup-line", "drop", "dup", "replace", "add"]))
+        if op == "drop-line" and len(lines) > 1:
+            del lines[i]
+        elif op == "dup-line":
+            lines.insert(i, list(line))
+        elif op == "drop" and line:
+            del line[j]
+        elif op == "dup" and line:
+            line.insert(j, line[j])
+        elif op == "replace" and line:
+            line[j] = draw(TOKENS)
+        else:
+            line.insert(j, draw(TOKENS))
+    return "".join(" ".join(line) + "\n" for line in lines)
+
+
+@st.composite
+def graph_files(draw):
+    n = draw(st.integers(2, 8))
+    ids = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(ids, ids).filter(lambda e: e[0] != e[1]), max_size=14))
+    lines = [f"{n} {len(edges)}"] + [f"{a} {b}" for a, b in edges]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i] = " ".join(draw(st.lists(TOKENS, max_size=3)))
+    return "\n".join(lines) + "\n"
+
+
+sequence_files = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=5).map(
+    lambda lines: "".join(line + "\n" for line in lines)
+)
+
+
+@given(mutated_instances(), graph_files(), sequence_files, TOKENS, TOKENS)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+def test_exit_code_contract(tmp_path_factory, instance, graph, sequence, s, t):
+    # any file answers 0, 1, 2 or 3 and never escapes as an exception,
+    # a broken contract (ContractViolationError) included
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {"inst": instance, "graph": graph, "seq": sequence}
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    inst, gfile = str(folder / "inst"), str(folder / "graph")
+    for argv in (
+        ["solve", inst, "--sequence"], ["oracle", inst, "--sequence"],
+        ["oracle", inst, "--verify", str(folder / "seq")],
+        ["convert", inst, "--to", "tar"], ["convert", inst, "--to", "tj"],
+        ["reduce", "vsr-to-isr", inst], ["reduce", "isr-to-vsr", inst], ["export-dot", inst],
+        ["separators", gfile, s, t], ["recognize", gfile],
+        ["recognize", gfile, "--family", "peanut"], ["decompose", gfile],
+    ):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, files)

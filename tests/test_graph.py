@@ -16,6 +16,7 @@ from vsreconf.separators import (
     minimum_separator_size,
     shrink_to_minimal,
 )
+from vsreconf.seriesparallel import classify_pair, recognize_and_decompose
 
 from fixtures import figure1_graph, random_connected_graph, nonadjacent_pairs
 
@@ -99,6 +100,8 @@ class TestGraphBasics:
             lambda: ReconfigInstance(g, 0, 2, Rule.TJ, {1, 3}, {1, bad}),
             lambda: enumerate_minimal_separators(g, bad, 2),
             lambda: enumerate_minimal_separators(g, 0, bad),
+            lambda: minimum_separator_size(g, bad, 2),
+            lambda: classify_pair(recognize_and_decompose(g), 0, bad),
         ]
         for call in calls:
             with pytest.raises(InputError, match=f"vertex id {bad} outside"):
@@ -114,6 +117,23 @@ class TestGraphBasics:
         assert f"vertex id {bad} outside" in capsys.readouterr().err
         assert cli_main(["oracle", str(inst), "--verify", str(seq)]) == 2
         assert "vertex id 9 outside" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("s, t, message", [
+        (0, 1, "terminals are adjacent: no separator exists"),
+        (0, 0, "terminals must be distinct"),
+    ])
+    def test_one_refusal_for_an_inseparable_pair(self, s, t, message):
+        # every entry point that takes a terminal pair refuses it alike
+        g = cycle_graph(4)
+        calls = [
+            lambda: ReconfigInstance(g, s, t, Rule.TJ, {2}, {2}),
+            lambda: enumerate_minimal_separators(g, s, t),
+            lambda: minimum_separator_size(g, s, t),
+            lambda: classify_pair(recognize_and_decompose(g), s, t),
+        ]
+        for call in calls:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                call()
 
 
 class TestBiconnectivity:
