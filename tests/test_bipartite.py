@@ -10,9 +10,10 @@ from vsreconf.bipartite import (
     translate_sequence,
     vsr_to_isr,
 )
+from vsreconf.cli import format_isr_instance, main
 from vsreconf.errors import InputError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
-from vsreconf.instance import Rule
+from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import is_separator
 
@@ -166,6 +167,89 @@ class TestInstanceTranslation:
                 # independent oracle: BFS over independent sets directly
                 want = _isr_bfs(g, rule, ia, ib)
                 assert res.reachable == want, (g.to_text(), rule, sorted(ia), sorted(ib))
+            done += 1
+
+
+def random_isr(rng):
+    """A seeded ISR instance on ``random_bipartite``: two equal-size
+    independent sets, TS or TJ."""
+    g, a, b = random_bipartite(rng, rng.randint(2, 7), rng.uniform(0.2, 0.9))
+    indep = [
+        frozenset(c)
+        for r in range(g.n + 1)
+        for c in itertools.combinations(range(g.n), r)
+        if not any(g.neighbors(x) & frozenset(c) for x in c)
+    ]
+    source = rng.choice(indep)
+    target = rng.choice([i for i in indep if len(i) == len(source)])
+    return IsrInstance(g, a, b, rng.choice((Rule.TS, Rule.TJ)), source, target)
+
+
+def _is_foci(h, u, v):
+    """The foci condition read off its definition: {v} ∪ N(u) and
+    {u} ∪ N(v) partition V(h) into two independent sets."""
+    side_a, side_b = h.neighbors(u) | {v}, h.neighbors(v) | {u}
+    return (
+        u != v
+        and not h.has_edge(u, v)
+        and not side_a & side_b
+        and side_a | side_b == frozenset(h.vertices())
+        and not any(h.neighbors(x) & side for side in (side_a, side_b) for x in side)
+    )
+
+
+class TestReductionIsInverse:
+    def test_library_round_trip(self):
+        rng = random.Random(71)
+        for _ in range(200):
+            x = random_isr(rng)
+            assert vsr_to_isr(isr_to_vsr(x)) == x
+
+    def test_cli_round_trip(self, capsys, tmp_path):
+        rng = random.Random(73)
+        isr_file, vsr_file = tmp_path / "x.isr", tmp_path / "x.vsr"
+        for _ in range(50):
+            x = random_isr(rng)
+            isr_file.write_text(format_isr_instance(x))
+            assert main(["reduce", "isr-to-vsr", str(isr_file)]) == 0
+            vsr_file.write_text(capsys.readouterr().out)
+            assert main(["reduce", "vsr-to-isr", str(vsr_file)]) == 0
+            assert capsys.readouterr().out == format_isr_instance(x)
+
+    def test_answers_at_every_foci_pair(self):
+        # peanut-like graphs with several foci pairs; the terminals are any
+        # ordered foci pair but the lexicographically smallest one, and a
+        # pair that is not foci is refused
+        rng = random.Random(79)
+        done = 0
+        while done < 30:
+            g, a, b = random_bipartite(rng, rng.randint(2, 6), 0.8)
+            h = isr_to_vsr(IsrInstance(g, a, b, Rule.TJ, F(), F())).graph
+            pairs = [p for p in itertools.permutations(h.vertices(), 2) if _is_foci(h, *p)]
+            if len(pairs) < 4:
+                continue
+            w = is_peanut_like(h)
+            assert pairs[0] == (w.u, w.v)
+            u, v = rng.choice(pairs[1:])
+            inner = sorted(frozenset(h.vertices()) - {u, v})
+            seps = [
+                frozenset(c)
+                for r in range(len(inner) + 1)
+                for c in itertools.combinations(inner, r)
+                if h.separates(u, v, frozenset(c))
+            ]
+            sa = rng.choice(seps)
+            sb = rng.choice([x for x in seps if len(x) == len(sa)])
+            for rule in (Rule.TJ, Rule.TS):
+                vsr = ReconfigInstance(h, u, v, rule, sa, sb)
+                isr = vsr_to_isr(vsr)
+                want = solve_bfs(vsr).reachable
+                assert _isr_bfs(isr.graph, rule, isr.source, isr.target) == want
+            for p in itertools.permutations(h.vertices(), 2):
+                if p not in pairs and not h.has_edge(*p):
+                    full = frozenset(h.vertices()) - set(p)
+                    with pytest.raises(InputError, match="peanut"):
+                        vsr_to_isr(ReconfigInstance(h, *p, Rule.TJ, full, full))
             done += 1
 
 

@@ -344,6 +344,32 @@ class TestReduce:
         code, _, err = run(capsys, "reduce", "vsr-to-isr", inst)
         assert code == 2 and "peanut" in err
 
+    def test_terminals_are_the_foci(self, capsys, tmp_path):
+        # C6 has foci pairs (0, 3), (1, 4) and (2, 5); the states hold 0,
+        # 2, 3 and 5 but never the terminals 1 and 4, and s = 1 is joined
+        # to part A as in isr-to-vsr
+        inst = write_instance(
+            tmp_path, "c6.inst", cycle_graph(6), 1, 4, "TJ", {0, 2}, {3, 5}
+        )
+        code, out, _ = run(capsys, "reduce", "vsr-to-isr", inst)
+        assert code == 0
+        assert out.splitlines() == [
+            "graph 4 0-3 1-2",
+            "parta 0 1",
+            "partb 2 3",
+            "rule TJ",
+            "source 2 3",
+            "target 0 1",
+        ]
+
+    def test_terminals_not_foci_exit_2(self, capsys, tmp_path):
+        # C6 is peanut-like, but 0 and 2 are not a foci pair
+        inst = write_instance(
+            tmp_path, "c6.inst", cycle_graph(6), 0, 2, "TJ", {1, 4}, {1, 5}
+        )
+        code, out, err = run(capsys, "reduce", "vsr-to-isr", inst)
+        assert code == 2 and out == "" and "peanut" in err
+
 
 class TestRecognize:
     def test_bowtie(self, capsys, tmp_path):
