@@ -8,11 +8,14 @@ separator reconfiguration (VSR) instances translate into each other by
 complementation, state by state, under both TJ and TS.
 
 Graphs of the extended shape are recognized by :func:`is_peanut_like`.
+:func:`vsr_to_isr` needs the instance's terminals to be the foci, with s
+joined to part A as :func:`isr_to_vsr` builds it, and refuses any other pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .errors import InputError
 from .graph import Graph
@@ -46,26 +49,28 @@ class PeanutWitness:
     side_b: frozenset[int]
 
 
+def _foci(g: Graph, u: int, v: int) -> PeanutWitness | None:
+    """Witness that u and v are foci, or None."""
+    if u == v or g.has_edge(u, v):
+        return None
+    side_a, side_b = g.neighbors(u) | {v}, g.neighbors(v) | {u}
+    if side_a & side_b or len(side_a) + len(side_b) != g.n:
+        return None
+    if any(g.neighbors(x) & side for side in (side_a, side_b) for x in side):
+        return None
+    return PeanutWitness(u, v, side_a, side_b)
+
+
 def is_peanut_like(g: Graph) -> PeanutWitness | None:
     """Witness for the peanut-like shape, or None.
 
     Deterministic: the lexicographically smallest ordered pair (u, v)
     satisfying the foci condition wins.
     """
-    verts = frozenset(g.vertices())
-    for u in sorted(verts):
-        for v in sorted(verts):
-            if u == v or g.has_edge(u, v):
-                continue
-            side_a = g.neighbors(u) | {v}
-            side_b = g.neighbors(v) | {u}
-            if side_a & side_b or (side_a | side_b) != verts:
-                continue
-            if any(g.neighbors(x) & side_a for x in side_a):
-                continue
-            if any(g.neighbors(x) & side_b for x in side_b):
-                continue
-            return PeanutWitness(u, v, side_a, side_b)
+    for u in g.vertices():
+        for v in g.vertices():
+            if witness := _foci(g, u, v):
+                return witness
     return None
 
 
@@ -107,42 +112,31 @@ def isr_to_vsr(instance: IsrInstance) -> ReconfigInstance:
     return ReconfigInstance(h, u, v, instance.rule, sa, sb)
 
 
-def vsr_to_isr(
-    h: Graph,
-    witness: PeanutWitness,
-    rule: Rule,
-    source: State,
-    target: State,
-) -> IsrInstance:
-    """Drop the foci of a peanut-like graph and complement both states.
+def vsr_to_isr(instance: ReconfigInstance) -> IsrInstance:
+    """Drop the terminals, which must be the foci of a peanut-like graph,
+    and complement both states; s is joined to part A and t to part B.
 
-    Only valid when the states avoid the foci.  Every id except the two
-    foci, which need not be the largest, is remapped densely in
-    increasing order (on the path 1-4-0-3-2 the foci are 1 and 3, and
-    0, 2, 4 become 0, 1, 2).
+    The inverse of :func:`isr_to_vsr`.  Every id except the two foci,
+    which need not be the largest, is remapped densely in increasing
+    order (on the path 1-4-0-3-2 the foci are 1 and 3, and 0, 2, 4
+    become 0, 1, 2).
     """
-    u, v = witness.u, witness.v
-    for st in (source, target):
-        if u in st or v in st:
-            raise InputError("states may not contain the foci")
-    keep = sorted(frozenset(h.vertices()) - {u, v})
-    relabel = {old: new for new, old in enumerate(keep)}
-    edges = [
-        (relabel[a], relabel[b])
-        for a, b in h.edges
-        if a not in (u, v) and b not in (u, v)
-    ]
-    g = Graph(len(keep), edges)
-    part_a = frozenset(relabel[x] for x in witness.side_a - {v})
-    part_b = frozenset(relabel[x] for x in witness.side_b - {u})
-    inner = frozenset(relabel)
+    h, u, v = instance.graph, instance.s, instance.t
+    if _foci(h, u, v) is None:
+        raise InputError(f"terminals {u} and {v} are not the foci of a peanut-like graph")
+    relabel = {old: new for new, old in enumerate(x for x in h.vertices() if x not in (u, v))}
+    edges = [(relabel[a], relabel[b]) for a, b in h.edges if a in relabel and b in relabel]
+
+    def renamed(xs: Iterable[int]) -> frozenset[int]:
+        return frozenset(relabel[x] for x in xs)
+
     return IsrInstance(
-        g,
-        part_a,
-        part_b,
-        rule,
-        frozenset(relabel[x] for x in inner - source),
-        frozenset(relabel[x] for x in inner - target),
+        Graph(len(relabel), edges),
+        renamed(h.neighbors(u)),
+        renamed(h.neighbors(v)),
+        instance.rule,
+        renamed(relabel.keys() - instance.source),
+        renamed(relabel.keys() - instance.target),
     )
 
 

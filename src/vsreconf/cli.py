@@ -31,7 +31,7 @@ from .bipartite import IsrInstance, is_peanut_like, isr_to_vsr, vsr_to_isr
 from .cliquepair import CutVertexCliques, MatchedCliques, SpecialC5, characterize
 from .dispatch import ENGINES, solve
 from .errors import InputError, NotApplicableError, ResourceLimitError
-from .graph import MAX_VERTICES, Graph
+from .graph import Graph, check_vertex_count
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .minsep import enumerate_minimal_separators
 from .oracle import DEFAULT_STATE_CAP, export_reconfig_graph, solve_bfs, verify_sequence
@@ -83,9 +83,7 @@ def _parse_graph_value(tokens: list[str], path: str) -> Graph:
     if len(tokens) == 1 and not tokens[0].isdigit():
         return Graph.from_text(_read(str(Path(path).parent / tokens[0])))
     try:
-        n = int(tokens[0])
-        if n > MAX_VERTICES:
-            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        n = check_vertex_count(int(tokens[0]))
         edges = [(int(a), int(b)) for a, _, b in (tok.partition("-") for tok in tokens[1:])]
     except ValueError as exc:
         raise InputError(f"bad inline graph: {' '.join(tokens)!r}") from exc
@@ -241,15 +239,9 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 def _cmd_reduce(args: argparse.Namespace) -> int:
     if args.direction == "isr-to-vsr":
-        isr = load_isr_instance(args.instance)
-        print(format_instance(isr_to_vsr(isr)), end="")
-        return 0
-    inst = load_instance(args.instance)
-    witness = is_peanut_like(inst.graph)
-    if witness is None:
-        raise InputError("graph is not peanut-like; no ISR reduction exists")
-    isr = vsr_to_isr(inst.graph, witness, inst.rule, inst.source, inst.target)
-    print(format_isr_instance(isr), end="")
+        print(format_instance(isr_to_vsr(load_isr_instance(args.instance))), end="")
+    else:
+        print(format_isr_instance(vsr_to_isr(load_instance(args.instance))), end="")
     return 0
 
 

@@ -24,6 +24,13 @@ Edge = tuple[int, int]
 MAX_VERTICES = 100_000
 
 
+def check_vertex_count(n: int) -> int:
+    """Refuse a vertex count read from text that exceeds MAX_VERTICES."""
+    if n > MAX_VERTICES:
+        raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+    return n
+
+
 class Graph:
     """A finite simple undirected graph."""
 
@@ -256,8 +263,7 @@ class Graph:
             n, m = int(head[0]), int(head[1])
         except ValueError as exc:
             raise InputError(f"bad header {lines[0]!r}") from exc
-        if n > MAX_VERTICES:
-            raise InputError(f"vertex count {n} exceeds the limit of {MAX_VERTICES}")
+        check_vertex_count(n)
         if len(lines) - 1 != m:
             raise InputError(f"header promises {m} edges, found {len(lines) - 1}")
         edges = []

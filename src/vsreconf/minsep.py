@@ -45,8 +45,6 @@ DEFAULT_FAMILY_CAP = 1_000_000
 @dataclass(frozen=True)
 class SeparatorFamily:
     members: frozenset[State]
-    s: int
-    t: int
 
     def sorted_members(self) -> list[State]:
         return sorted(self.members, key=canon)
@@ -75,7 +73,7 @@ def enumerate_minimal_separators(
                 raise ResourceLimitError(f"separator family cap {family_cap} exceeded")
             found.add(cand)
             queue.append(cand)
-    return SeparatorFamily(frozenset(found), s, t)
+    return SeparatorFamily(frozenset(found))
 
 
 def tame_solve(instance: ReconfigInstance) -> Solution:

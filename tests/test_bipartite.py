@@ -114,12 +114,7 @@ class TestInstanceTranslation:
             vsr = isr_to_vsr(inst)
             w = is_peanut_like(vsr.graph)
             assert w is not None
-            # foci ids n, n+1 are the planted ones only if recognition picks
-            # them; rebuild against the planted witness directly
-            from vsreconf.bipartite import PeanutWitness
-
-            planted = PeanutWitness(g.n, g.n + 1, a | {g.n + 1}, b | {g.n})
-            back = vsr_to_isr(vsr.graph, planted, vsr.rule, vsr.source, vsr.target)
+            back = vsr_to_isr(vsr)
             assert back.graph == g
             assert back.part_a == a and back.part_b == b
             assert back.source == i_a and back.target == i_a
@@ -131,7 +126,7 @@ class TestInstanceTranslation:
         g = Graph(5, [(1, 4), (4, 0), (0, 3), (3, 2)])
         w = is_peanut_like(g)
         assert (w.u, w.v) == (1, 3)
-        isr = vsr_to_isr(g, w, Rule.TJ, F(0), F(0))
+        isr = vsr_to_isr(ReconfigInstance(g, 1, 3, Rule.TJ, F(0), F(0)))
         assert isr.graph == Graph(3, [(0, 2)])
         assert (isr.part_a, isr.part_b) == (F(2), F(0, 1))
         assert isr.source == F(1, 2)
@@ -140,7 +135,7 @@ class TestInstanceTranslation:
         g = path_graph(4)
         w = is_peanut_like(g)
         with pytest.raises(InputError):
-            vsr_to_isr(g, w, Rule.TJ, F(w.u), F(w.u))
+            vsr_to_isr(ReconfigInstance(g, w.u, w.v, Rule.TJ, F(w.u), F(w.u)))
 
     def test_answers_agree_with_oracle(self):
         rng = random.Random(61)
