@@ -6,10 +6,11 @@ either (i) two cliques sharing a single cut vertex, (ii) two disjoint
 cliques whose cross edges form a matching, or (iii) the five-cycle.  On
 these graphs TAR and TJ instances are always reconfigurable (unless a
 TAR endpoint is stuck by minimality), by the cut-vertex rule of
-``solve_via_tj`` on shape (i) and a walk of its own on shape (ii).  TS
-instances reduce to token counting per component once s, t and their
-common neighbours are removed; that NO rule holds on any graph, so the
-TS solver answers it before it asks for the class.
+``solve_via_tj`` on shape (i) and by passage flips on shape (ii), which
+move a token across a matching edge only.  TS instances reduce to token
+counting per component once s, t and their common neighbours are
+removed; that NO rule holds on any graph, so the TS solver answers it
+before it asks for the class.
 """
 
 from __future__ import annotations
@@ -19,10 +20,9 @@ from dataclasses import dataclass
 
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
+from .instance import ReconfigInstance, Rule, Solution
 from .oracle import solve_bfs, stranded_component
-from .separators import State, pad_state
-from .sequence import jumps
+from .separators import State
 from .tar_tj import solve_via_tj
 
 
@@ -173,58 +173,40 @@ def _require_class(g: Graph) -> Characterization:
     return ch
 
 
-def _canonical_matched_state(
-    g: Graph, ch: MatchedCliques, s: int, t: int, k: int
-) -> State:
-    """One token per matching edge (the q1 endpoint unless it is a
-    terminal), padded with the smallest free non-terminal ids."""
-    chosen = {y if x in (s, t) else x for x, y in ch.matching}
-    if len(chosen) > k:
-        raise ContractViolationError("fewer tokens than matching edges")
-    return pad_state(g, s, t, chosen, k)
-
-
-def _matched_to_canonical(
-    inst: ReconfigInstance, ch: MatchedCliques, start: State, canonical: State
-) -> ReconfigSequence:
-    """Phase 1: give every matching edge its chosen endpoint (jumping the
-    other endpoint's token across); phase 2: park the remaining tokens."""
-    g, s, t = inst.graph, inst.s, inst.t
-    seq = [start]
-    cur = start
-    for x, y in sorted(ch.matching):
-        c, o = (x, y) if x in canonical else (y, x)
-        if c in cur:
-            continue
-        if o not in cur:
-            raise ContractViolationError("state misses a matching edge")
-        cur = cur - {o} | {c}
-        seq.append(cur)
-    seq += jumps(cur, canonical)[1:]
-    if seq[-1] != canonical:
-        raise ContractViolationError("canonicalization failed")
-    return seq
-
-
 def _tj_walk(
     instance: ReconfigInstance, ch: MatchedCliques
-) -> tuple[ReconfigSequence, ReconfigSequence]:
-    """Half-walks from the distinct endpoints of a matched-cliques
-    instance to the canonical state."""
-    g, s, t = instance.graph, instance.s, instance.t
-    sa, sb = instance.source, instance.target
-    canonical = _canonical_matched_state(g, ch, s, t, len(sa))
-    return (
-        _matched_to_canonical(instance, ch, sa, canonical),
-        _matched_to_canonical(instance, ch, sb, canonical),
-    )
+) -> tuple[list[State], list[State]]:
+    """Passage flips from each distinct endpoint of a matched-cliques
+    instance: for each matching edge in sorted order, the token on the
+    other endpoint jumps onto the chosen one, the terminal's partner or
+    else the q1 end, unless the chosen one holds a token already.
+
+    Say s lies in Q1 and t in Q2.  Every st-path crosses by a matching
+    edge, and each matching edge (x, y) lies on the path s - x - y - t
+    (x = s or y = t allowed).  So a state separates iff it holds a
+    non-terminal endpoint of every matching edge.  A separator that
+    misses the chosen endpoint thus holds the other one, and the state
+    after the flip still holds a non-terminal endpoint of every edge, so
+    it separates too.  Consecutive states are one jump apart, and both
+    walks end holding every chosen endpoint, a common separator."""
+    s, t = instance.s, instance.t
+
+    def flips(x: State) -> list[State]:
+        seq = [x]
+        for a, b in sorted(ch.matching):
+            chosen, other = (b, a) if a in (s, t) else (a, b)
+            if chosen not in seq[-1]:
+                seq.append(seq[-1] - {other} | {chosen})
+        return seq
+
+    return flips(instance.source), flips(instance.target)
 
 
 def solve_tar_tj_3p1d(instance: ReconfigInstance) -> Solution:
     """Always-YES constructive solver for TJ (and TAR via conversion) on
     the two-clique class; the only NO answers are stuck TAR endpoints.
     The cut vertex separates the non-adjacent terminals, so
-    ``solve_via_tj`` asks for walks on matched cliques only.  The
+    ``solve_via_tj`` asks for chains on matched cliques only.  The
     five-cycle's state space is tiny, so exhaustive search answers it."""
     ch = _require_class(instance.graph)
     if instance.rule is Rule.TS:

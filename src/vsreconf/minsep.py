@@ -34,9 +34,8 @@ from math import comb
 
 from .errors import InputError, ResourceLimitError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
+from .instance import ReconfigInstance, Rule, Solution
 from .separators import State, canon, check_separable, shrink_to_minimal
-from .sequence import carry
 from .tar_tj import solve_via_tj
 
 DEFAULT_FAMILY_CAP = 1_000_000
@@ -81,9 +80,9 @@ def tame_solve(instance: ReconfigInstance) -> Solution:
 
     A TJ instance with k tokens is YES iff its minimalized endpoints lie
     in one component of the overlap graph: the members of size at most
-    k, joined when their union has at most k+1 vertices.  ``carry``
-    walks the path found, and TAR goes through ``solve_via_tj``, so a
-    TAR certificate passes through the primed states.
+    k, joined when their union has at most k+1 vertices.  The path found
+    is the source's chain for ``solve_via_tj``, which TAR goes through
+    too, so a TAR certificate passes through the primed states.
 
     Endpoints whose cores overlap are joined without enumeration.
     Otherwise the overlap BFS stops at the target; a member of k vertices
@@ -95,17 +94,17 @@ def tame_solve(instance: ReconfigInstance) -> Solution:
     return solve_via_tj(instance, _tj_walk)
 
 
-def _tj_walk(tj: ReconfigInstance) -> tuple[ReconfigSequence, ReconfigSequence] | None:
-    """Half-walks from the distinct endpoints of a TJ instance to states
-    that share the target's minimal core: ``carry`` along the overlap
-    path from the source, and the target alone.  None when the overlap
-    search does not reach the target."""
+def _tj_walk(tj: ReconfigInstance) -> tuple[list[State], list[State]] | None:
+    """Chains from the distinct endpoints of a TJ instance to the target's
+    minimal core: the overlap path from the source's minimal core, and
+    the target's core alone.  None when the overlap search does not reach
+    the target."""
     g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
     sa, sb = (shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target))
     if len(sa | sb) <= k + 1:
         # the search below would dequeue sa first and meet sb among its
         # neighbours, whatever else the family holds
-        return carry([sa, sb] if sa != sb else [sa], tj.source), [tj.target]
+        return [sa, sb] if sa != sb else [sa], [sb]
     # a member above k overlaps none: no minimal separator holds another
     fam = enumerate_minimal_separators(g, s, t)
     members = sorted((m for m in fam.members if len(m) <= k), key=canon)
@@ -151,4 +150,4 @@ def _tj_walk(tj: ReconfigInstance) -> tuple[ReconfigSequence, ReconfigSequence] 
     path = [sb]
     while (prev := parent[path[-1]]) is not None:
         path.append(prev)
-    return carry(path[::-1], tj.source), [tj.target]
+    return path[::-1], [sb]

@@ -81,7 +81,8 @@ def shrink_to_minimal(g: Graph, s: int, t: int, sep: Iterable[int]) -> State:
 
 def pad_state(g: Graph, s: int, t: int, sep: Iterable[int], k: int) -> State:
     """``sep`` filled up to k tokens with the smallest free non-terminal
-    ids (callers make sure it has at most k)."""
+    ids.  Its one caller, ``tar_tj._tar_to_tj``, makes sure ``sep`` has at
+    most k."""
     sep = frozenset(sep)
     free = (v for v in g.vertices() if v not in sep and v not in (s, t))
     return sep | frozenset(islice(free, k - len(sep)))

@@ -27,7 +27,6 @@ from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import certify
 from .separators import State, check_separable, is_minimal_separator, shrink_to_minimal
-from .sequence import carry
 from .tar_tj import solve_via_tj
 
 
@@ -681,35 +680,28 @@ def _to_canonical(g: Graph, s: int, t: int, core: State, pair: _Pair) -> Reconfi
 
 def _tj_walk(
     decomp: SPDecomposition, instance: ReconfigInstance
-) -> tuple[ReconfigSequence, ReconfigSequence]:
-    """Half-walks from the two distinct endpoints of a TJ instance on the
-    decomposed graph to states that share a separator.
-
-    The pair is read off by :func:`_pair` once, and each endpoint's
-    minimal core (from ``shrink_to_minimal``, minimal by construction,
-    so not re-checked) is carried to a state containing it, the surplus
-    tokens riding along through ``carry``."""
+) -> tuple[list[State], list[State]]:
+    """Chains from the two distinct endpoints of a TJ instance on the
+    decomposed graph to separators that contain M(s, t): the
+    :func:`_to_canonical` walks, one jump a step, of the endpoints'
+    minimal cores (from ``shrink_to_minimal``, so not re-checked), with
+    the pair read off by :func:`_pair` once."""
     g, s, t = instance.graph, instance.s, instance.t
     pair = _pair(decomp, s, t)
-
-    def half(x: State) -> ReconfigSequence:
-        core = shrink_to_minimal(g, s, t, x)
-        return carry(_to_canonical(g, s, t, core, pair), x)
-
-    return half(instance.source), half(instance.target)
+    sa, sb = (shrink_to_minimal(g, s, t, x) for x in (instance.source, instance.target))
+    return _to_canonical(g, s, t, sa, pair), _to_canonical(g, s, t, sb, pair)
 
 
 def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     """Constructive TJ solver, and TAR through the TJ equivalence: the
     only NO answers are trivially negative TAR instances.
 
-    ``solve_via_tj`` answers a pair split by a cut vertex itself; a pair
-    inside one block (every block must be series-parallel) is
-    canonicalized toward M(s, t), the surplus tokens carried along by
-    ``carry``, and ``solve_via_tj`` joins the two halves.  Recognition
-    runs first, before any other work, equal endpoints included: a graph
-    that is not series-parallel is refused even when the answer is the
-    one-state walk.
+    ``solve_via_tj`` answers a pair split by a cut vertex itself; for a
+    pair inside one block (every block must be series-parallel) each
+    endpoint's core is walked toward M(s, t), and ``solve_via_tj`` lifts
+    and joins the two walks as chains.  Recognition runs first, before
+    any other work, equal endpoints included: a graph that is not
+    series-parallel is refused even when the answer is the one-state walk.
     """
     if instance.rule is Rule.TS:
         raise InputError("expects a TJ or TAR instance")

@@ -1,10 +1,13 @@
-"""Equivalence machinery between the TAR and TJ rules.
+"""Equivalence machinery between the TAR and TJ rules, and the walks.
 
 Canonical alternating normalization of TAR sequences, interleaving /
 subsampling conversions between TJ and TAR certificates, detection of
 trivially negative TAR instances, instance-level conversion in both
 directions, and :func:`solve_via_tj`, which answers TJ and TAR instances
-alike from a solver's TJ walk, or by its one cut-vertex rule.
+alike from a solver's two separator chains, or by its one cut-vertex rule.
+A chain starts inside its endpoint, consecutive members meet the
+precondition of ``carry``, and the two last members hold a common
+separator; ``carry`` lifts each chain, and ``jumps`` joins the two walks.
 """
 
 from __future__ import annotations
@@ -16,8 +19,57 @@ from .errors import ContractViolationError, InvalidInstanceError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import certify
-from .separators import check_state, pad_state, shrink_to_minimal
-from .sequence import dedupe, jumps, tar_steps
+from .separators import State, check_state, pad_state, shrink_to_minimal
+
+
+def dedupe(seq: ReconfigSequence) -> ReconfigSequence:
+    """Drop consecutive repeats, as left where walks are concatenated."""
+    out = seq[:1]
+    for st in seq[1:]:
+        if st != out[-1]:
+            out.append(st)
+    return out
+
+
+def jumps(a: State, b: State) -> ReconfigSequence:
+    """TJ walk from ``a`` to ``b``: the tokens of a - b jump, in ascending
+    order, to the vertices of b - a, in ascending order."""
+    seq = [a]
+    for x, y in zip(sorted(a - b), sorted(b - a)):
+        seq.append(seq[-1] - {x} | {y})
+    return seq
+
+
+def carry(chain: list[State], start: State) -> ReconfigSequence:
+    """TJ walk from ``start``, which holds ``chain[0]``, through a superset
+    of each chain member in turn.
+
+    Consecutive members a, b have |a u b| <= len(start) + 1, and neither
+    holds the other.  From a state holding a, the smallest tokens outside
+    a u b fill all but the last missing vertex of b, in ascending order,
+    and the smallest token of a - b fills the last one; the bound on
+    |a u b| leaves enough of the first kind.  Every state holds a or b,
+    so it separates when they do.
+    """
+    seq = [start]
+    for a, b in zip(chain, chain[1:]):
+        cur = seq[-1]
+        missing = sorted(b - cur)
+        movers = sorted(cur - a - b)[:len(missing) - 1] + [min(a - b)]
+        for x, y in zip(movers, missing):
+            seq.append(seq[-1] - {x} | {y})
+    return seq
+
+
+def tar_steps(a: State, b: State) -> ReconfigSequence:
+    """TAR walk from ``a`` to ``b``: remove a - b, then add b - a, each in
+    ascending order."""
+    seq = [a]
+    for v in sorted(a - b):
+        seq.append(seq[-1] - {v})
+    for v in sorted(b - a):
+        seq.append(seq[-1] | {v})
+    return seq
 
 
 def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
@@ -188,21 +240,21 @@ def _tar_to_tj(instance: ReconfigInstance) -> TarToTjConversion | None:
 
 def solve_via_tj(
     instance: ReconfigInstance,
-    tj_walk: Callable[[ReconfigInstance], tuple[ReconfigSequence, ReconfigSequence] | None],
+    tj_walk: Callable[[ReconfigInstance], tuple[list[State], list[State]] | None],
 ) -> Solution:
     """Answer a TJ or TAR instance from ``tj_walk``, which takes a TJ
-    instance with distinct endpoints and returns two unchecked TJ
-    half-walks, from the source and from the target, whose last states
-    hold a common separator, or None when there is no walk.
+    instance with distinct endpoints and returns two separator chains, or
+    None when there is no walk.  The first starts inside the source and
+    the second inside the target, consecutive members meet the
+    precondition of ``carry``, and the two last members hold a common
+    separator.  ``carry`` lifts each chain from its endpoint, here and
+    nowhere else; ``jumps`` between the two last states moves no token
+    of the common separator, and the target's walk follows in reverse.
 
     One rule comes first, for every solver: when a vertex w separates s
-    from t (the smallest, by ``Graph.cut_vertices_between``), every state
-    holding w separates, so each half jumps the endpoint's smallest token
-    onto w (none if it holds w), and ``tj_walk`` is not called.
-
-    The halves are joined here and nowhere else: ``jumps`` between their
-    last states, which moves no token of the common separator, then the
-    second half in reverse.
+    from t (the smallest, by ``Graph.cut_vertices_between``), each chain
+    is its endpoint, then, if it misses w, the endpoint with its smallest
+    token on w, and ``tj_walk`` is not called.
 
     None is a NO, for TJ and TAR alike.  A TAR instance is also NO when
     trivially negative, which its conversion reports by returning None;
@@ -218,11 +270,10 @@ def solve_via_tj(
             return [tj.source]
         if cuts := tj.graph.cut_vertices_between(tj.s, tj.t):
             w = cuts[0]  # every state holding w separates
-            fwd, bwd = ([x] if w in x else [x, x - {min(x)} | {w}] for x in (tj.source, tj.target))
-        elif (halves := tj_walk(tj)) is None:
+            chains = [[x] if w in x else [x, x - {min(x)} | {w}] for x in (tj.source, tj.target)]
+        elif (chains := tj_walk(tj)) is None:
             return None
-        else:
-            fwd, bwd = halves
+        fwd, bwd = (carry(chain, x) for chain, x in zip(chains, (tj.source, tj.target)))
         return dedupe(fwd + jumps(fwd[-1], bwd[-1]) + bwd[::-1])
 
     if instance.source == instance.target:

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from vsreconf import solve
 from vsreconf.cliquepair import (
     CutVertexCliques,
     MatchedCliques,
@@ -76,6 +77,14 @@ def matched_cliques(rng, n):
     edges += list(itertools.combinations(range(c, n), 2))
     edges += list(zip(range(size), q2))
     return _relabel(rng, n, edges)
+
+
+def matched_shape(n, c, size):
+    """Cliques {0..c-1} and {c..n-1} joined by the matching i-(c + i),
+    i < size."""
+    return Graph(n, list(itertools.combinations(range(c), 2))
+                 + list(itertools.combinations(range(c, n), 2))
+                 + [(i, c + i) for i in range(size)])
 
 
 def cocktail_party(m):
@@ -216,12 +225,21 @@ class TestSolveTarTj:
         assert res.reachable
         assert verify_sequence(inst, res.sequence)
 
-    def test_prism_tj(self):
-        inst = ReconfigInstance(prism(), 0, 4, Rule.TJ, F(1, 2, 3), F(1, 3, 5))
-        res = solve_tar_tj_3p1d(inst)
-        assert res.reachable
-        assert verify_sequence(inst, res.sequence)
-        assert solve_bfs(inst).reachable
+    @pytest.mark.parametrize(
+        "g, s, t, source, target",
+        [
+            (prism(), 0, 4, F(1, 2, 3), F(1, 3, 5)),
+            # two 5-cliques and a perfect matching: both endpoints hold the
+            # chosen ends {1, 2, 3, 4, 5}, so token 8 jumps straight to 9
+            (matched_shape(10, 5, 5), 0, 6, F(1, 2, 3, 4, 5, 8), F(1, 2, 3, 4, 5, 9)),
+        ],
+        ids=["prism", "two-5-cliques"],
+    )
+    def test_matched_tj_takes_the_oracle_distance(self, g, s, t, source, target):
+        inst = ReconfigInstance(g, s, t, Rule.TJ, source, target)
+        res = solve(inst, "class")
+        assert res.engine == "class" and verify_sequence(inst, res.sequence)
+        assert len(res.sequence) == len(solve_bfs(inst).sequence) == 2
 
     def test_figure3_tj_both_variants(self):
         for flag in (True, False):
@@ -353,18 +371,42 @@ def test_matches_oracle_on_random_class_instances():
         done += 1
 
 
+def test_matched_tj_holding_the_chosen_ends_jumps_only_the_rest():
+    # TJ on matched cliques with no cut vertex between s and t: when both
+    # endpoints hold the chosen end of every matching edge (the terminal's
+    # partner, else the q1 end), no passage flips, and the certificate
+    # jumps each token of source - target once, the fewest possible
+    rng = random.Random(26)
+    done = 0
+    while done < 300:
+        g = matched_cliques(rng, rng.randint(4, 10))
+        ch = characterize(g)
+        s, t = rng.choice([p for p in itertools.combinations(g.vertices(), 2) if not g.has_edge(*p)])
+        if g.cut_vertices_between(s, t):
+            continue  # solve_via_tj's cut-vertex rule answers these
+        chosen = frozenset(y if x in (s, t) else x for x, y in ch.matching)
+        free = [v for v in g.vertices() if v not in chosen and v not in (s, t)]
+        extra = rng.randint(1, len(free)) if free else 0
+        a, b = (chosen | frozenset(rng.sample(free, extra)) for _ in range(2))
+        if a == b:
+            continue
+        inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
+        res = solve(inst, "class")
+        assert verify_sequence(inst, res.sequence)
+        assert len(res.sequence) - 1 == len(a - b), (g.to_text(), s, t, sorted(a), sorted(b))
+        done += 1
+
+
 def class_shapes(n):
     """Every cut-vertex and matched-cliques graph on n vertices, up to
-    isomorphism: cliques {0..c} and {c..n-1} glued at c, and cliques
-    {0..c-1} and {c..n-1} joined by the matching i-(c + i), i < size."""
+    isomorphism: cliques {0..c} and {c..n-1} glued at c, and each
+    :func:`matched_shape`."""
     for c in range(1, n - 1):
         yield Graph(n, list(itertools.combinations(range(c + 1), 2))
                     + list(itertools.combinations(range(c, n), 2)))
     for c in range(2, n - 1):
         for size in range(1, min(c, n - c) + 1):
-            yield Graph(n, list(itertools.combinations(range(c), 2))
-                        + list(itertools.combinations(range(c, n), 2))
-                        + [(i, c + i) for i in range(size)])
+            yield matched_shape(n, c, size)
 
 
 def test_class_ts_is_yes_unless_stranded():

@@ -17,7 +17,6 @@ from vsreconf.separators import (
     is_minimal_separator,
     shrink_to_minimal,
 )
-from vsreconf.sequence import carry
 
 from fixtures import (
     all_labeled_connected_graphs,
@@ -201,8 +200,10 @@ class TestTameMatchesOracle:
 
 def reference_tj_walk(tj, dequeued=None):
     """The overlap search as a plain scan: enumerate the family, then
-    test every member of size <= k against each member dequeued.  The
-    members dequeued are appended to ``dequeued`` when it is given."""
+    test every member of size <= k against each member dequeued.  Returns
+    the chains ``minsep._tj_walk`` returns, the overlap path and the
+    target's core alone; equal chains lift to equal walks.  The members
+    dequeued are appended to ``dequeued`` when it is given."""
     g, s, t, k = tj.graph, tj.s, tj.t, len(tj.source)
     members = [m for m in enumerate_minimal_separators(g, s, t).sorted_members() if len(m) <= k]
     sa, sb = (shrink_to_minimal(g, s, t, x) for x in (tj.source, tj.target))
@@ -223,7 +224,7 @@ def reference_tj_walk(tj, dequeued=None):
     path = [sb]
     while (prev := parent[path[-1]]) is not None:
         path.append(prev)
-    return carry(path[::-1], tj.source), [tj.target]
+    return path[::-1], [sb]
 
 
 def padded(rng, g, s, t, core, size):
@@ -234,7 +235,7 @@ def padded(rng, g, s, t, core, size):
 
 class TestTjWalkMatchesScan:
     """``minsep._tj_walk`` against the plain scan: the forced path and
-    the index lookups return the walk the scan returns."""
+    the index lookups return the chains the scan returns."""
 
     def test_forced_path_enumerates_nothing(self, monkeypatch):
         rng = random.Random(29)
