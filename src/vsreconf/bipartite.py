@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import InputError
 from .graph import Graph
-from .instance import ReconfigInstance, ReconfigSequence, Rule
+from .instance import ReconfigInstance, Rule
 from .separators import State
 
 
@@ -139,26 +139,3 @@ def vsr_to_isr(instance: ReconfigInstance) -> IsrInstance:
         renamed(relabel.keys() - instance.target),
     )
 
-
-def translate_sequence(
-    direction: str, g_isr: Graph, seq: ReconfigSequence
-) -> ReconfigSequence:
-    """Complement every state with respect to the inner (bipartite) graph.
-
-    ``direction`` is ``"isr-to-vsr"`` (states are independent sets) or
-    ``"vsr-to-isr"`` (states are separators restricted to the inner
-    graph, i.e. vertex covers).  The complement map is an involution, so
-    both directions perform the same rewrite; the direction selects which
-    side's validity is checked.
-    """
-    if direction not in ("isr-to-vsr", "vsr-to-isr"):
-        raise InputError(f"unknown direction {direction!r}")
-    if not seq:
-        raise InputError("empty sequence")
-    verts = frozenset(g_isr.vertices())
-    for st in seq:
-        if not st <= verts:
-            raise InputError("sequence state leaves the inner vertex set")
-        inner = st if direction == "isr-to-vsr" else verts - st
-        _check_independent(g_isr, frozenset(inner), "sequence state")
-    return [verts - st for st in seq]

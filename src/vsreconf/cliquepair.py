@@ -15,7 +15,6 @@ before it asks for the class.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InputError, NotApplicableError
@@ -24,20 +23,6 @@ from .instance import ReconfigInstance, Rule, Solution
 from .oracle import solve_bfs, stranded_component
 from .separators import State
 from .tar_tj import solve_via_tj
-
-
-def is_3p1_diamond_free(g: Graph) -> bool:
-    """Exhaustive forbidden-induced-subgraph check: no independent triple,
-    no induced diamond (four vertices spanning exactly five edges)."""
-    verts = list(g.vertices())
-    for a, b, c in itertools.combinations(verts, 3):
-        if not (g.has_edge(a, b) or g.has_edge(a, c) or g.has_edge(b, c)):
-            return False
-    for quad in itertools.combinations(verts, 4):
-        m = sum(1 for x, y in itertools.combinations(quad, 2) if g.has_edge(x, y))
-        if m == 5:
-            return False
-    return True
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ class InvalidInstanceError(InputError):
 
 class ContractViolationError(VsreconfError):
     """A precondition stated by an operation's contract does not hold
-    (e.g. a sequence fed to a normalizer is not valid)."""
+    (e.g. a TJ sequence fed to the TAR interleaving has two consecutive
+    states that are not one jump apart)."""
 
 
 class NotApplicableError(VsreconfError):

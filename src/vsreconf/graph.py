@@ -4,11 +4,11 @@ All algorithm modules share this representation: vertices are 0..n-1,
 edges are unordered pairs, no loops or multi-edges.  Instances are
 immutable after construction, so they can be shared freely.
 
-Queries (``neighbors``, ``has_edge``, ``neighborhood``, ``reachable_from``,
-``separates``, ``boundary``) trust their vertex ids.  Ids are checked
-where they enter: in the constructor, ``separators.check_state``,
-``ReconfigInstance`` and the CLI.  ``separates`` stops at its target,
-and ``boundary`` reads N(C) off the one search of C.
+Queries (``neighbors``, ``has_edge``, ``reachable_from``, ``separates``,
+``boundary``) trust their vertex ids.  Ids are checked where they enter:
+in the constructor, ``separators.check_state``, ``ReconfigInstance`` and
+the CLI.  ``separates`` stops at its target, and ``boundary`` reads N(C)
+off the one search of C.
 """
 
 from __future__ import annotations
@@ -68,10 +68,6 @@ class Graph:
 
     def has_edge(self, a: int, b: int) -> bool:
         return b in self._adj[a]
-
-    def neighborhood(self, vs: set[int] | frozenset[int]) -> frozenset[int]:
-        """Vertices outside ``vs`` adjacent to some member of it."""
-        return frozenset().union(*(self._adj[v] for v in vs)) - vs
 
     def vertices(self) -> range:
         return range(self.n)
@@ -159,16 +155,6 @@ class Graph:
         return len(self.reachable_from(0)) == self.n
 
     # -- structure ----------------------------------------------------
-
-    def cut_vertices(self) -> set[int]:
-        """Articulation points: the vertices of two or more blocks."""
-        seen: set[int] = set()
-        cuts: set[int] = set()
-        for block in self.blocks():
-            vs = {v for e in block for v in e}
-            cuts |= seen & vs
-            seen |= vs
-        return cuts
 
     def _lowpoints(self, roots: Iterable[int]) -> tuple[list[int], list[int], list[int], list[int]]:
         """One iterative Hopcroft-Tarjan lowpoint DFS from each root not yet

@@ -25,8 +25,7 @@ from typing import Iterable
 from .errors import ContractViolationError, InputError, NotApplicableError
 from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
-from .oracle import certify
-from .separators import State, check_separable, is_minimal_separator, shrink_to_minimal
+from .separators import State, check_separable, shrink_to_minimal
 from .tar_tj import solve_via_tj
 
 
@@ -112,21 +111,6 @@ class PSTree:
         chain = self.ancestors(eid)
         i = chain.index(anc)
         return chain[i + 1]
-
-    # -- replay -------------------------------------------------------------
-
-    def replay(self) -> list[frozenset[int]]:
-        """Re-run the recorded construction; returns the endpoint pairs
-        of the final multigraph's edges (with multiplicity collapsed)."""
-        live = {self.root_edge}
-        for e in self.order:
-            if e not in live:
-                raise ContractViolationError("construction order is inconsistent")
-            live.remove(e)
-            live.update(self.op[e][2])
-        if live != set(self.leaves):
-            raise ContractViolationError("replay does not end at the leaf edges")
-        return [frozenset(self.endpoints[e]) for e in live]
 
     def to_term(self) -> str:
         """Nested parenthesized rendering of the construction, built from
@@ -417,17 +401,6 @@ def _pair(decomp: SPDecomposition, s: int, t: int) -> _Pair:
     return _Pair(tree, kind, swapped, anchor, canon)
 
 
-def classify_pair(decomp: SPDecomposition, s: int, t: int) -> PairClassification:
-    return _pair(decomp, s, t).kind
-
-
-def canonical_separator(decomp: SPDecomposition, s: int, t: int) -> State:
-    """The canonical minimum st-separator M(s, t) read off the
-    construction tree of the block holding s and t; a pair split by a
-    cut vertex raises InputError."""
-    return _pair(decomp, s, t).canon
-
-
 # ---------------------------------------------------------------------------
 # constructive reconfiguration toward the canonical separator
 
@@ -438,8 +411,7 @@ class _Walker:
     A move is refused only when it is illegal (the token is absent, the
     target is taken or is a terminal); that the new state still
     separates is not re-checked here: every walk is certified once, as a
-    whole, by ``solve_via_tj`` on the solve path and by
-    :func:`reconfigure_to_canonical` otherwise.  The roles of s and t are
+    whole, by ``solve_via_tj``.  The roles of s and t are
     interchangeable, since every check the walker makes is symmetric."""
 
     def __init__(self, g: Graph, s: int, t: int, start: State):
@@ -634,25 +606,10 @@ def _do_parallel(tree: PSTree, w: _Walker, a: int, b: int, l: int) -> None:
     w.move_any_to(second, protected=frozenset({first}))
 
 
-def reconfigure_to_canonical(
-    decomp: SPDecomposition, s: int, t: int, a_sep: State
-) -> ReconfigSequence:
-    """TJ sequence carrying a minimal st-separator to a separator that
-    contains the canonical set M(s, t).
-
-    The input must be a minimal separator.  The walk is certified once,
-    as a TJ walk from ``a_sep`` to its last state, which contains
-    M(s, t)."""
-    g = decomp.graph
-    if not is_minimal_separator(g, s, t, a_sep):
-        raise InputError("expects a minimal separator; shrink the input first")
-    seq = _to_canonical(g, s, t, a_sep, _pair(decomp, s, t))
-    return certify(ReconfigInstance(g, s, t, Rule.TJ, a_sep, seq[-1]), seq)
-
-
 def _to_canonical(g: Graph, s: int, t: int, core: State, pair: _Pair) -> ReconfigSequence:
-    """:func:`reconfigure_to_canonical` for a minimal separator ``core``
-    (not re-checked), with the pair already read off by :func:`_pair`."""
+    """TJ walk from a minimal separator ``core`` (not re-checked) to a
+    separator that contains M(s, t), with the pair already read off by
+    :func:`_pair`."""
     tree, kind, anchor, canon = pair.tree, pair.kind, pair.anchor, pair.canon
     if pair.swapped:
         s, t = t, s

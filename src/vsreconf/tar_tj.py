@@ -1,10 +1,10 @@
 """Equivalence machinery between the TAR and TJ rules, and the walks.
 
-Canonical alternating normalization of TAR sequences, interleaving /
-subsampling conversions between TJ and TAR certificates, detection of
+Interleaving of TJ certificates into TAR certificates, detection of
 trivially negative TAR instances, instance-level conversion in both
 directions, and :func:`solve_via_tj`, which answers TJ and TAR instances
-alike from a solver's two separator chains, or by its one cut-vertex rule.
+alike from a solver's two separator chains, or by its one cut-vertex rule,
+which takes a cut vertex both endpoints hold where there is one.
 A chain starts inside its endpoint, consecutive members meet the
 precondition of ``carry``, and the two last members hold a common
 separator; ``carry`` lifts each chain, and ``jumps`` joins the two walks.
@@ -16,10 +16,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .errors import ContractViolationError, InvalidInstanceError
-from .graph import Graph
 from .instance import ReconfigInstance, ReconfigSequence, Rule, Solution
 from .oracle import certify
-from .separators import State, check_state, pad_state, shrink_to_minimal
+from .separators import State, pad_state, shrink_to_minimal
 
 
 def dedupe(seq: ReconfigSequence) -> ReconfigSequence:
@@ -72,65 +71,6 @@ def tar_steps(a: State, b: State) -> ReconfigSequence:
     return seq
 
 
-def _check_tar_sequence(g: Graph, s: int, t: int, seq: ReconfigSequence, k: int) -> None:
-    """Raise ContractViolationError unless ``seq`` is a TAR(k) walk."""
-    if not seq:
-        raise ContractViolationError("empty sequence")
-    for st in seq:  # bad ids and terminals in a state are input errors
-        check_state(g, s, t, st)
-    try:
-        walk = ReconfigInstance(g, s, t, Rule.TAR, seq[0], seq[-1], k)
-    except InvalidInstanceError as exc:
-        raise ContractViolationError(str(exc)) from exc
-    certify(walk, seq)
-
-
-def _alternates(seq: ReconfigSequence, k: int) -> bool:
-    """Sizes run k, k+1, k, ... along the walk."""
-    return all(len(st) == k + i % 2 for i, st in enumerate(seq))
-
-
-def normalize_tar_sequence(
-    g: Graph, s: int, t: int, seq: ReconfigSequence, k: int
-) -> ReconfigSequence:
-    """Rewrite a valid (k+1)-TAR sequence between two size-k separators so
-    sizes alternate k, k+1, k, ...
-
-    Repeatedly picks the first state of minimum size below k, with
-    predecessor-difference {a} and successor-difference {b}, and replaces
-    it by its union with {a,b}; backtracking steps (a == b) are excised.
-
-    The input is checked; the output is not re-checked, since each rewrite
-    keeps a valid (k+1)-TAR walk: the union still separates, has at most
-    k+1 members and differs by one vertex from both neighbours, and an
-    excised detour joins two states one step apart.
-    """
-    _check_tar_sequence(g, s, t, seq, k + 1)
-    if len(seq[0]) != k or len(seq[-1]) != k:
-        raise ContractViolationError("endpoint states must have size k")
-
-    seq = list(seq)  # edited in place below
-    while True:
-        small = [i for i, st in enumerate(seq) if len(st) < k]
-        if not small:
-            break
-        lo = min(len(seq[i]) for i in small)
-        j = next(i for i in small if len(seq[i]) == lo)
-        if j in (0, len(seq) - 1):
-            raise ContractViolationError("endpoint state below size k")
-        (a,) = seq[j - 1] - seq[j]
-        (b,) = seq[j + 1] - seq[j]
-        if a == b:
-            # the sequence backtracked through j; excise the detour
-            del seq[j:j + 2]
-            continue
-        seq[j] = seq[j] | {a, b}
-
-    if not _alternates(seq, k):
-        raise ContractViolationError("alternation unreachable for this sequence")
-    return seq
-
-
 def tj_to_tar_sequence(seq: ReconfigSequence) -> ReconfigSequence:
     """Interleave a TJ sequence with the unions of consecutive states,
     yielding a (k+1)-TAR sequence of length 2*len-1."""
@@ -146,19 +86,6 @@ def tj_to_tar_sequence(seq: ReconfigSequence) -> ReconfigSequence:
         out.append(prev | nxt)
         out.append(nxt)
     return out
-
-
-def tar_to_tj_sequence(
-    g: Graph, s: int, t: int, seq: ReconfigSequence, k: int
-) -> ReconfigSequence:
-    """Inverse of :func:`tj_to_tar_sequence`: keep the odd positions of a
-    normalized alternating TAR sequence, less consecutive repeats.  Two
-    kept states around a state of k+1 vertices are equal (a vertex added
-    and removed again) or one jump apart."""
-    _check_tar_sequence(g, s, t, seq, k + 1)
-    if not _alternates(seq, k):
-        raise ContractViolationError("input is not normalized (sizes must alternate k, k+1, ...)")
-    return dedupe(seq[::2])
 
 
 def is_trivially_negative_tar(instance: ReconfigInstance) -> bool:
@@ -251,8 +178,9 @@ def solve_via_tj(
     nowhere else; ``jumps`` between the two last states moves no token
     of the common separator, and the target's walk follows in reverse.
 
-    One rule comes first, for every solver: when a vertex w separates s
-    from t (the smallest, by ``Graph.cut_vertices_between``), each chain
+    One rule comes first, for every solver: when a vertex separates s
+    from t (by ``Graph.cut_vertices_between``), w is the smallest such
+    vertex that both endpoints hold, else the smallest one.  Each chain
     is its endpoint, then, if it misses w, the endpoint with its smallest
     token on w, and ``tj_walk`` is not called.
 
@@ -269,7 +197,8 @@ def solve_via_tj(
         if tj.source == tj.target:
             return [tj.source]
         if cuts := tj.graph.cut_vertices_between(tj.s, tj.t):
-            w = cuts[0]  # every state holding w separates
+            held = [v for v in cuts if v in tj.source and v in tj.target]
+            w = (held or cuts)[0]  # every state holding w separates
             chains = [[x] if w in x else [x, x - {min(x)} | {w}] for x in (tj.source, tj.target)]
         elif (chains := tj_walk(tj)) is None:
             return None

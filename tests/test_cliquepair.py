@@ -11,7 +11,6 @@ from vsreconf.cliquepair import (
     NotInScope,
     SpecialC5,
     characterize,
-    is_3p1_diamond_free,
     solve_tar_tj_3p1d,
     solve_ts_3p1d,
 )
@@ -19,7 +18,6 @@ from vsreconf.errors import InputError, NotApplicableError
 from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, stranded_component, verify_sequence
-from vsreconf.separators import brute_force_separators
 
 from fixtures import (
     FIG2_S,
@@ -34,6 +32,7 @@ from fixtures import (
     figure2_graph,
     figure3_graph,
 )
+from ground_truth import brute_force_separators, is_3p1_diamond_free
 
 
 def F(*xs):
@@ -372,28 +371,34 @@ def test_matches_oracle_on_random_class_instances():
 
 
 def test_matched_tj_holding_the_chosen_ends_jumps_only_the_rest():
-    # TJ on matched cliques with no cut vertex between s and t: when both
-    # endpoints hold the chosen end of every matching edge (the terminal's
-    # partner, else the q1 end), no passage flips, and the certificate
-    # jumps each token of source - target once, the fewest possible
+    # TJ on matched cliques: when both endpoints hold the chosen end of
+    # every matching edge (the terminal's partner, else the q1 end), no
+    # passage flips, solve_via_tj's cut-vertex rule takes a cut vertex
+    # both hold, and the certificate jumps each token of source - target
+    # once, the fewest possible
+    def check(g, s, t, a, b):
+        inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
+        res = solve(inst, "class")
+        assert verify_sequence(inst, res.sequence)
+        assert len(res.sequence) - 1 == len(a - b), (g.to_text(), s, t, sorted(a), sorted(b))
+
+    # the one matching edge 4-5: both ends split 1 from 2, and only 5 is
+    # held by both endpoints
+    g = Graph(7, [(0, 1), (0, 5), (0, 6), (1, 5), (1, 6), (2, 3), (2, 4), (3, 4), (4, 5), (5, 6)])
+    check(g, 1, 2, F(0, 5, 6), F(0, 4, 5))
     rng = random.Random(26)
     done = 0
     while done < 300:
         g = matched_cliques(rng, rng.randint(4, 10))
         ch = characterize(g)
         s, t = rng.choice([p for p in itertools.combinations(g.vertices(), 2) if not g.has_edge(*p)])
-        if g.cut_vertices_between(s, t):
-            continue  # solve_via_tj's cut-vertex rule answers these
         chosen = frozenset(y if x in (s, t) else x for x, y in ch.matching)
         free = [v for v in g.vertices() if v not in chosen and v not in (s, t)]
         extra = rng.randint(1, len(free)) if free else 0
         a, b = (chosen | frozenset(rng.sample(free, extra)) for _ in range(2))
         if a == b:
             continue
-        inst = ReconfigInstance(g, s, t, Rule.TJ, a, b)
-        res = solve(inst, "class")
-        assert verify_sequence(inst, res.sequence)
-        assert len(res.sequence) - 1 == len(a - b), (g.to_text(), s, t, sorted(a), sorted(b))
+        check(g, s, t, a, b)
         done += 1
 
 

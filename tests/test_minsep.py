@@ -10,19 +10,18 @@ from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import enumerate_minimal_separators, tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import (
-    brute_force_minimal_separators,
-    brute_force_separators,
-    canon,
-    is_minimal_separator,
-    shrink_to_minimal,
-)
+from vsreconf.separators import canon, shrink_to_minimal
 
 from fixtures import (
     all_labeled_connected_graphs,
     grid_graph,
     nonadjacent_pairs,
     random_connected_graph,
+)
+from ground_truth import (
+    brute_force_minimal_separators,
+    brute_force_separators,
+    is_minimal_separator,
 )
 
 

@@ -19,7 +19,7 @@ from vsreconf.oracle import (
     stranded_component,
     verify_sequence,
 )
-from vsreconf.separators import brute_force_separators, canon
+from vsreconf.separators import canon
 
 from fixtures import (
     FIG1_S,
@@ -31,6 +31,7 @@ from fixtures import (
     nonadjacent_pairs,
     random_connected_graph,
 )
+from ground_truth import brute_force_separators
 
 
 def c5_instance(rule, source, target, k=None):

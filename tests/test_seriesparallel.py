@@ -10,22 +10,15 @@ from vsreconf.graph import Graph, complete_graph, cycle_graph, path_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import enumerate_minimal_separators
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import (
-    brute_force_minimal_separators,
-    is_separator,
-    minimum_separator_size,
-    shrink_to_minimal,
-)
+from vsreconf.separators import is_separator
 from vsreconf.seriesparallel import (
     Nested,
     Parallel,
     PSTree,
     Sequential,
+    _pair,
     build_ps_tree,
-    canonical_separator,
-    classify_pair,
     recognize_and_decompose,
-    reconfigure_to_canonical,
     sp_solve_tj,
 )
 
@@ -40,6 +33,13 @@ from fixtures import (
     random_connected_graph,
     random_series_parallel_graph,
     theta_graph,
+)
+from ground_truth import (
+    brute_force_minimal_separators,
+    cut_vertices,
+    minimum_separator_size,
+    reconfigure_to_canonical,
+    replay,
 )
 
 
@@ -62,7 +62,7 @@ class TestConstructionTree:
 
     def test_triangle_replay(self):
         tree = build_ps_tree([(0, 1), (0, 2), (1, 2)])
-        assert sorted(tree.replay(), key=sorted) == [F(0, 1), F(0, 2), F(1, 2)]
+        assert sorted(replay(tree), key=sorted) == [F(0, 1), F(0, 2), F(1, 2)]
 
     def test_k23_epsilon_and_root(self):
         tree = build_ps_tree(list(k23().edges))
@@ -97,7 +97,7 @@ class TestConstructionTree:
             g = random_series_parallel_graph(rng, rng.randint(3, 20))
             d = recognize_and_decompose(g)
             for tree in d.trees:
-                pairs = {frozenset(p) for p in tree.replay()}
+                pairs = {frozenset(p) for p in replay(tree)}
                 block = {
                     frozenset(e)
                     for e in g.edges
@@ -313,16 +313,16 @@ class TestWorklistMatchesRescan:
 class TestClassification:
     def test_c4_pair(self):
         d = recognize_and_decompose(cycle_graph(4))
-        kind = classify_pair(d, 1, 3)
+        kind = _pair(d, 1, 3).kind
         assert kind == Nested(a=0, z=2)
 
     def test_k23_root_both(self):
         d = recognize_and_decompose(k23())
-        assert classify_pair(d, 0, 1) == Sequential(None, F(2, 3, 4))
+        assert _pair(d, 0, 1).kind == Sequential(None, F(2, 3, 4))
 
     def test_parallel_fixture(self):
         d = recognize_and_decompose(parallel_pair_graph())
-        kind = classify_pair(d, PP_S, PP_T)
+        kind = _pair(d, PP_S, PP_T).kind
         assert isinstance(kind, Parallel)
         assert {kind.a, kind.b} == set(PP_M)
 
@@ -330,12 +330,12 @@ class TestClassification:
         # no block holds both terminals; solve_via_tj answers such pairs
         d = recognize_and_decompose(path_graph(4))
         with pytest.raises(InputError, match="split by a cut vertex"):
-            classify_pair(d, 0, 3)
+            _pair(d, 0, 3).kind
 
     def test_adjacent_rejected(self):
         d = recognize_and_decompose(cycle_graph(4))
         with pytest.raises(InputError):
-            classify_pair(d, 0, 1)
+            _pair(d, 0, 1).kind
 
     def test_random_graphs_show_every_shape(self):
         # each shape, a pair with a root terminal in the Sequential and
@@ -354,10 +354,10 @@ class TestClassification:
                 if tree is None:
                     split += 1
                     continue
-                kind = classify_pair(d, s, t)
+                kind = _pair(d, s, t).kind
                 rooted = bool({s, t} & tree.root_vertices())
                 seen.add((type(kind).__name__, rooted, getattr(kind, "a", 0) is None))
-                canonical_separator(d, s, t)  # separates and has the predicted size
+                _pair(d, s, t).canon  # separates and has the predicted size
         assert split > 100
         assert seen == {
             ("Parallel", False, False),
@@ -373,16 +373,16 @@ class TestClassification:
 class TestCanonicalSeparator:
     def test_c4(self):
         d = recognize_and_decompose(cycle_graph(4))
-        assert canonical_separator(d, 1, 3) == F(0, 2)
+        assert _pair(d, 1, 3).canon == F(0, 2)
 
     def test_k23(self):
         d = recognize_and_decompose(k23())
-        assert canonical_separator(d, 0, 1) == F(2, 3, 4)
+        assert _pair(d, 0, 1).canon == F(2, 3, 4)
         assert d.tree_for(0, 1).epsilon(0, 1) == 2
 
     def test_parallel_fixture(self):
         d = recognize_and_decompose(parallel_pair_graph())
-        assert canonical_separator(d, PP_S, PP_T) == frozenset(PP_M)
+        assert _pair(d, PP_S, PP_T).canon == frozenset(PP_M)
 
     def test_minimum_small_random(self):
         rng = random.Random(17)
@@ -399,7 +399,7 @@ class TestCanonicalSeparator:
             if not pairs:
                 continue
             s, t = pairs[rng.randrange(len(pairs))]
-            canon = canonical_separator(d, s, t)
+            canon = _pair(d, s, t).canon
             assert len(canon) == minimum_separator_size(g, s, t)
             if g.n <= 8:
                 assert canon in brute_force_minimal_separators(g, s, t)
@@ -420,7 +420,7 @@ class TestCanonicalSeparator:
                 continue
             d = recognize_and_decompose(g)
             s, t = pairs[rng.randrange(len(pairs))]
-            canon = canonical_separator(d, s, t)
+            canon = _pair(d, s, t).canon
             assert len(canon) == minimum_separator_size(g, s, t)
             done += 1
 
@@ -452,7 +452,7 @@ class TestReconfigureToCanonical:
         # pair, so only the minimality check refuses it, before the pair
         # is classified
         d = recognize_and_decompose(cycle_graph(6))
-        assert canonical_separator(d, 0, 3) <= F(1, 2, 4, 5)
+        assert _pair(d, 0, 3).canon <= F(1, 2, 4, 5)
         for g, s, t, sep in (
             (cycle_graph(6), 0, 3, F(1, 2, 4, 5)),
             (path_graph(4), 0, 3, F(1, 2)),
@@ -476,7 +476,7 @@ class TestReconfigureToCanonical:
                 continue
             d = recognize_and_decompose(g)
             s, t = pairs[rng.randrange(len(pairs))]
-            canon = canonical_separator(d, s, t)
+            canon = _pair(d, s, t).canon
             for a in sorted(brute_force_minimal_separators(g, s, t), key=sorted):
                 seq = reconfigure_to_canonical(d, s, t, a)
                 assert seq[0] == a
@@ -502,7 +502,7 @@ class TestReconfigureToCanonical:
                 for t in g.vertices():
                     if s == t or g.has_edge(s, t):
                         continue
-                    canon = canonical_separator(d, s, t)
+                    canon = _pair(d, s, t).canon
                     for a in enumerate_minimal_separators(g, s, t).sorted_members():
                         seq = reconfigure_to_canonical(d, s, t, a)
                         assert canon <= seq[-1]
@@ -596,7 +596,7 @@ class TestSolver:
         edges = [(0, 1), (1, 2), (2, 3), (3, 0), (3, 4), (4, 5), (5, 6), (6, 3)]
         d = recognize_and_decompose(Graph(7, edges))
         with pytest.raises(InputError, match="split by a cut vertex"):
-            canonical_separator(d, 1, 5)
+            _pair(d, 1, 5).canon
         for sep in (F(0, 2), F(4, 6), F(3)):
             with pytest.raises(InputError, match="split by a cut vertex"):
                 reconfigure_to_canonical(d, 1, 5, sep)
@@ -618,11 +618,11 @@ class TestSolver:
             decomp = recognize_and_decompose(g)
             spans = [tr.block_vertices for tr in decomp.trees] + decomp.k2_blocks
             shared = {v for v in g.vertices() if sum(v in sp for sp in spans) >= 2}
-            assert shared == g.cut_vertices(), g.to_text()
+            assert shared == cut_vertices(g), g.to_text()
             for s, t in itertools.permutations(g.vertices(), 2):
                 want = [v for v in g.vertices() if v not in (s, t) and g.separates(s, t, {v})]
                 assert g.cut_vertices_between(s, t) == want, (g.to_text(), s, t)
-            seen_cuts += bool(g.cut_vertices())
+            seen_cuts += bool(cut_vertices(g))
         assert seen_cuts > 30
 
     def test_matches_oracle_small_random(self):

@@ -16,7 +16,6 @@ from vsreconf.graph import Graph, cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.minsep import tame_solve
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import brute_force_separators, is_minimal_separator
 
 from fixtures import (
     grid_graph,
@@ -25,6 +24,7 @@ from fixtures import (
     random_series_parallel_graph,
     theta_graph,
 )
+from ground_truth import brute_force_separators, is_minimal_separator
 
 
 def F(*xs):

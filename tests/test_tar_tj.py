@@ -7,17 +7,9 @@ from vsreconf.errors import ContractViolationError, InputError, InvalidInstanceE
 from vsreconf.graph import cycle_graph
 from vsreconf.instance import ReconfigInstance, Rule
 from vsreconf.oracle import solve_bfs, verify_sequence
-from vsreconf.separators import (
-    brute_force_minimal_separators,
-    brute_force_separators,
-    is_minimal_separator,
-    is_separator,
-)
 from vsreconf.tar_tj import (
     is_trivially_negative_tar,
-    normalize_tar_sequence,
     tar_to_tj_instance,
-    tar_to_tj_sequence,
     tj_to_tar_instance,
     tj_to_tar_sequence,
 )
@@ -26,6 +18,13 @@ from fixtures import (
     nonadjacent_pairs,
     random_connected_graph,
     star_fixture,
+)
+from ground_truth import (
+    brute_force_minimal_separators,
+    brute_force_separators,
+    is_minimal_separator,
+    normalize_tar_sequence,
+    tar_to_tj_sequence,
 )
 
 
