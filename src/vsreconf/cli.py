@@ -64,7 +64,7 @@ def _read(path: str) -> str:
     try:
         with open(path) as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable bytes, or a NUL in the path
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
@@ -292,7 +292,7 @@ def _cmd_export_dot(args: argparse.Namespace) -> int:
     if args.output:
         try:
             Path(args.output).write_text(text)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
             raise InputError(f"cannot write {args.output}: {exc}") from exc
     else:
         print(text, end="")

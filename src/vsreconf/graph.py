@@ -34,7 +34,7 @@ def check_vertex_count(n: int) -> int:
 class Graph:
     """A finite simple undirected graph."""
 
-    __slots__ = ("n", "edges", "_adj")
+    __slots__ = ("n", "edges", "_adj", "_dfs")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         if n < 0:
@@ -52,6 +52,7 @@ class Graph:
         self.n = n
         self.edges = frozenset(es)
         self._adj = tuple(map(frozenset, adj))
+        self._dfs: tuple[list[int], list[int], list[int], list[int]] | None = None
 
     # -- basic queries ------------------------------------------------
 
@@ -156,16 +157,16 @@ class Graph:
 
     # -- structure ----------------------------------------------------
 
-    def _lowpoints(self, roots: Iterable[int]) -> tuple[list[int], list[int], list[int], list[int]]:
-        """One iterative Hopcroft-Tarjan lowpoint DFS from each root not yet
-        reached: the discovery order, and per vertex id ``disc`` (-1 if
-        unreached), ``low`` and ``parent`` (-1 for a root)."""
+    def _lowpoints(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """One iterative Hopcroft-Tarjan lowpoint DFS from each vertex not
+        yet reached, in id order: the discovery order, and per vertex id
+        ``disc``, ``low`` and ``parent`` (-1 for a root)."""
         adj = self._adj
         disc = [-1] * self.n
         low = [0] * self.n
         parent = [-1] * self.n
         order: list[int] = []
-        for root in roots:
+        for root in range(self.n):
             if disc[root] >= 0:
                 continue
             disc[root] = low[root] = len(order)
@@ -189,22 +190,38 @@ class Graph:
                         low[p] = low[v]
         return order, disc, low, parent
 
+    def _lowpoint_dfs(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """:meth:`_lowpoints`, run on first use and kept: the graph never
+        changes, and ``blocks`` and ``cut_vertices_between`` share it and
+        only read it."""
+        if self._dfs is None:
+            self._dfs = self._lowpoints()
+        return self._dfs
+
     def cut_vertices_between(self, s: int, t: int) -> list[int]:
         """The vertices other than s and t whose removal separates s from
-        t, ascending; empty when t is unreachable from s.  One lowpoint
-        DFS from s, then a walk up t's tree path: v separates when its
-        child c on the path has low[c] >= disc[v], as no back edge leaves
-        the subtree of c, which holds t, for a proper ancestor of v."""
-        _, disc, low, parent = self._lowpoints([s])
-        if disc[t] <= 0:  # unreachable, or t is s
-            return []
-        cuts = []
-        c, v = t, parent[t]
-        while v != s:
-            if low[c] >= disc[v]:
-                cuts.append(v)
-            c, v = v, parent[v]
-        return sorted(cuts)
+        t, ascending; empty when t is unreachable from s.  Read off the
+        one lowpoint DFS: v separates exactly when a child c of v has
+        low[c] >= disc[v], so that no back edge leaves the subtree of c
+        for a proper ancestor of v, and that subtree holds one of s and t.
+        Such a v lies on the tree path between s and t, and c on it too."""
+        _, disc, low, parent = self._lowpoint_dfs()
+        root_path = {s}  # s and its proper ancestors
+        v = s
+        while (v := parent[v]) >= 0:
+            root_path.add(v)
+        meet = t  # the lowest common ancestor of s and t
+        while meet not in root_path:
+            if (meet := parent[meet]) < 0:  # t's DFS tree is not s's
+                return []
+        cuts = set()
+        for c in (s, t):
+            while c != meet:
+                v = parent[c]
+                if low[c] >= disc[v]:
+                    cuts.add(v)
+                c = v
+        return sorted(cuts - {s, t})
 
     def blocks(self, connected: bool = False) -> list[frozenset[Edge]] | None:
         """Biconnected components as edge sets (bridges come out as
@@ -215,7 +232,7 @@ class Graph:
         their sorted edge lists would, since blocks share no edge.  With
         ``connected``, None instead if the DFS needs a second root, that
         is, if the graph is disconnected (n <= 1 counts as connected)."""
-        order, disc, low, parent = self._lowpoints(range(self.n))
+        order, disc, low, parent = self._lowpoint_dfs()
         if connected and parent.count(-1) > 1:
             return None
         block = list(range(self.n))  # the block of the tree edge into v

@@ -11,9 +11,10 @@ token jumping.  Since both endpoints of an instance reach such a state,
 every TJ instance on a series-parallel graph is a YES instance, and
 TAR instances are answered through the TJ equivalence.
 
-The reduction runs per 2-connected block, on the block that holds both
-terminals.  A pair that no block holds is split by a cut vertex, and
-``solve_via_tj`` answers it before any walk here is asked for.
+The solver builds one construction tree, for the 2-connected block that
+holds both terminals: every s-t path stays inside it, so no other block
+need be series-parallel.  A pair that no block holds is split by a cut
+vertex, and ``solve_via_tj`` answers it with no tree.
 """
 
 from __future__ import annotations
@@ -274,14 +275,8 @@ def recognize_and_decompose(g: Graph) -> SPDecomposition:
     blocks = g.blocks(connected=True)
     if blocks is None:
         raise NotApplicableError("decomposition expects a connected graph")
-    trees = []
-    k2 = []
-    for block in blocks:
-        if len(block) == 1:
-            (edge,) = block
-            k2.append(frozenset(edge))
-        else:
-            trees.append(build_ps_tree(block))
+    trees = [build_ps_tree(block) for block in blocks if len(block) > 1]
+    k2 = [frozenset(edge) for block in blocks if len(block) == 1 for edge in block]
     return SPDecomposition(g, trees, k2)
 
 
@@ -377,14 +372,18 @@ class _Pair:
 
 
 def _pair(decomp: SPDecomposition, s: int, t: int) -> _Pair:
-    """The record of a pair inside one block, M(s, t) checked to separate
-    and to have the size its shape predicts.  A pair that no block holds
-    is split by a cut vertex and raises InputError."""
-    g = decomp.graph
-    check_separable(g, s, t)
+    """:func:`_block_pair` in the block that holds s and t.  A pair that
+    no block holds is split by a cut vertex and raises InputError."""
+    check_separable(decomp.graph, s, t)
     tree = decomp.tree_for(s, t)
     if tree is None:
         raise InputError("pair is split by a cut vertex: no block holds both terminals")
+    return _block_pair(decomp.graph, tree, s, t)
+
+
+def _block_pair(g: Graph, tree: PSTree, s: int, t: int) -> _Pair:
+    """The record of a pair inside the block of ``tree``, M(s, t) checked
+    to separate and to have the size its shape predicts."""
     kind, swapped, anchor = _classify_block(tree, s, t)
     size = 2
     if isinstance(kind, Parallel):
@@ -635,16 +634,14 @@ def _to_canonical(g: Graph, s: int, t: int, core: State, pair: _Pair) -> Reconfi
 # full solver
 
 
-def _tj_walk(
-    decomp: SPDecomposition, instance: ReconfigInstance
-) -> tuple[list[State], list[State]]:
-    """Chains from the two distinct endpoints of a TJ instance on the
-    decomposed graph to separators that contain M(s, t): the
-    :func:`_to_canonical` walks, one jump a step, of the endpoints'
-    minimal cores (from ``shrink_to_minimal``, so not re-checked), with
-    the pair read off by :func:`_pair` once."""
+def _tj_walk(tree: PSTree, instance: ReconfigInstance) -> tuple[list[State], list[State]]:
+    """Chains from the two distinct endpoints of a TJ instance whose
+    terminals share the block of ``tree`` to separators that contain
+    M(s, t): the :func:`_to_canonical` walks, one jump a step, of the
+    endpoints' minimal cores (from ``shrink_to_minimal``, so not
+    re-checked), with the pair read off once."""
     g, s, t = instance.graph, instance.s, instance.t
-    pair = _pair(decomp, s, t)
+    pair = _block_pair(g, tree, s, t)
     sa, sb = (shrink_to_minimal(g, s, t, x) for x in (instance.source, instance.target))
     return _to_canonical(g, s, t, sa, pair), _to_canonical(g, s, t, sb, pair)
 
@@ -653,14 +650,17 @@ def sp_solve_tj(instance: ReconfigInstance) -> Solution:
     """Constructive TJ solver, and TAR through the TJ equivalence: the
     only NO answers are trivially negative TAR instances.
 
-    ``solve_via_tj`` answers a pair split by a cut vertex itself; for a
-    pair inside one block (every block must be series-parallel) each
-    endpoint's core is walked toward M(s, t), and ``solve_via_tj`` lifts
-    and joins the two walks as chains.  Recognition runs first, before
-    any other work, equal endpoints included: a graph that is not
-    series-parallel is refused even when the answer is the one-state walk.
+    The tree of the block that holds s and t is built first, equal
+    endpoints included: a disconnected graph, or an s-t block that is
+    not series-parallel, is refused even when the answer is the
+    one-state walk.  ``solve_via_tj`` answers a pair split by a cut
+    vertex, and lifts and joins the two walks of a pair in the block.
     """
     if instance.rule is Rule.TS:
         raise InputError("expects a TJ or TAR instance")
-    decomp = recognize_and_decompose(instance.graph)
-    return solve_via_tj(instance, lambda tj: _tj_walk(decomp, tj))
+    g, s, t = instance.graph, instance.s, instance.t
+    blocks = g.blocks(connected=True)
+    if blocks is None:
+        raise NotApplicableError("decomposition expects a connected graph")
+    tree = next((build_ps_tree(b) for b in blocks if {s, t} <= {v for e in b for v in e}), None)
+    return solve_via_tj(instance, lambda tj: _tj_walk(tree, tj))

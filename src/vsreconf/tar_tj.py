@@ -179,7 +179,8 @@ def solve_via_tj(
     of the common separator, and the target's walk follows in reverse.
 
     One rule comes first, for every solver: when a vertex separates s
-    from t (by ``Graph.cut_vertices_between``), w is the smallest such
+    from t (by ``Graph.cut_vertices_between``, off the graph's one
+    lowpoint DFS, which ``Graph.blocks`` shares), w is the smallest such
     vertex that both endpoints hold, else the smallest one.  Each chain
     is its endpoint, then, if it misses w, the endpoint with its smallest
     token on w, and ``tj_walk`` is not called.

@@ -491,6 +491,13 @@ class TestExportDot:
         code, out, err = run(capsys, "export-dot", inst, "-o", str(outfile))
         assert code == 2 and out == "" and "cannot write" in err
 
+    def test_nul_in_output_path_exit_2(self, capsys, tmp_path):
+        inst = write_instance(
+            tmp_path, "c4.inst", cycle_graph(4), 1, 3, "TJ", {0, 2}, {0, 2}
+        )
+        code, out, err = run(capsys, "export-dot", inst, "-o", "a\0b")
+        assert code == 2 and out == "" and err.startswith("error: cannot write")
+
     def test_state_cap(self, capsys, tmp_path):
         # the TAR(3) reconfiguration graph of C6 from {1, 5} to {2, 4} has
         # 8 states: a cap of 7 stops short, a cap of 8 prints them all
@@ -588,6 +595,19 @@ class TestInstanceFiles:
         p.write_text("graph nope.graph\ns 0\nt 1\nrule TJ\nsource 2\ntarget 2\n")
         code, _, err = run(capsys, "solve", str(p))
         assert code == 2 and "cannot read" in err
+
+    def test_nul_in_graph_path_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "nul.inst"
+        p.write_text("graph a\0b\ns 0\nt 1\nrule TJ\nsource 2\ntarget 2\n")
+        code, out, err = run(capsys, "solve", str(p))
+        assert code == 2 and out == "" and err.startswith("error: cannot read")
+
+    def test_nul_in_sequence_path_exit_2(self, capsys, tmp_path):
+        inst = write_instance(
+            tmp_path, "c4.inst", cycle_graph(4), 1, 3, "TJ", {0, 2}, {0, 2}
+        )
+        code, out, err = run(capsys, "oracle", inst, "--verify", "a\0b")
+        assert code == 2 and out == "" and err.startswith("error: cannot read")
 
     @pytest.mark.parametrize("bad", ["instance", "graph", "sequence"])
     def test_non_utf8_file_exit_2(self, capsys, tmp_path, bad):
@@ -722,15 +742,10 @@ sequence_files = st.lists(st.lists(TOKENS, max_size=3).map(" ".join), max_size=5
 )
 
 
-@given(mutated_instances(), graph_files(), sequence_files, TOKENS, TOKENS)
-@settings(derandomize=True, max_examples=300, deadline=None, database=None)
-def test_exit_code_contract(tmp_path_factory, instance, graph, sequence, s, t):
-    # any file answers 0, 1, 2 or 3 and never escapes as an exception,
-    # a broken contract (ContractViolationError) included
-    folder = tmp_path_factory.mktemp("fuzz")
-    files = {"inst": instance, "graph": graph, "seq": sequence}
-    for name, text in files.items():
-        (folder / name).write_text(text)
+def assert_exit_codes(folder, s, t, files):
+    """Run the twelve CLI forms on the files inst, graph and seq in
+    ``folder``: each answers 0, 1, 2 or 3 and none escapes as an
+    exception, a broken contract (ContractViolationError) included."""
     inst, gfile = str(folder / "inst"), str(folder / "graph")
     for argv in (
         ["solve", inst, "--sequence"], ["oracle", inst, "--sequence"],
@@ -744,3 +759,56 @@ def test_exit_code_contract(tmp_path_factory, instance, graph, sequence, s, t):
         with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
             code = main(argv)
         assert code in (0, 1, 2, 3), (argv, files)
+
+
+@given(mutated_instances(), graph_files(), sequence_files, TOKENS, TOKENS)
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+def test_exit_code_contract(tmp_path_factory, instance, graph, sequence, s, t):
+    # any file answers 0, 1, 2 or 3 and never escapes as an exception
+    folder = tmp_path_factory.mktemp("fuzz")
+    files = {"inst": instance, "graph": graph, "seq": sequence}
+    for name, text in files.items():
+        (folder / name).write_text(text)
+    assert_exit_codes(folder, s, t, files)
+
+
+# byte tokens the byte-level contract test puts in: NUL, alone and inside
+# a name or a number, and bytes that are not UTF-8
+BYTE_TOKENS = st.sampled_from([b"\0", b"a\0b", b"1\0", b"\xff", b"\xc3(", b"\x80x", b"\xed\xa0\x80"])
+
+
+def byte_files(lines):
+    """Arbitrary bytes, or ``lines`` (token tuples) with byte tokens put in
+    place of a token, between two, or in place of a line's whole value."""
+
+    @st.composite
+    def mutated(draw):
+        out = [[token.encode() for token in line] for line in lines]
+        for _ in range(draw(st.integers(1, 3))):
+            line = out[draw(st.integers(0, len(out) - 1))]
+            j = draw(st.integers(0, len(line)))
+            op = draw(st.sampled_from(["replace", "insert", "value"]))
+            if op == "value":
+                line[1:] = [draw(BYTE_TOKENS)]
+            elif op == "replace" and j < len(line):
+                line[j] = draw(BYTE_TOKENS)
+            else:
+                line.insert(j, draw(BYTE_TOKENS))
+        return b"".join(b" ".join(line) + b"\n" for line in out)
+
+    return st.one_of(st.binary(max_size=40), mutated())
+
+
+C6_GRAPH_LINES = (("6", "6"), ("0", "1"), ("1", "2"), ("2", "3"), ("3", "4"), ("4", "5"), ("0", "5"))
+
+
+@given(byte_files(C6_LINES), byte_files(C6_GRAPH_LINES), byte_files((("1", "5"), ("2", "4"))))
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+def test_exit_code_contract_on_bytes(tmp_path_factory, instance, graph, sequence):
+    # a NUL in a file name (the graph field's, here) or bytes that are
+    # not UTF-8 are input errors like any other
+    folder = tmp_path_factory.mktemp("bytes")
+    files = {"inst": instance, "graph": graph, "seq": sequence}
+    for name, data in files.items():
+        (folder / name).write_bytes(data)
+    assert_exit_codes(folder, "0", "3", files)

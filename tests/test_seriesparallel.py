@@ -541,19 +541,24 @@ class TestSolver:
             sp_solve_tj(inst)
 
     def test_identity_shortcut(self):
-        # equal endpoints do not skip recognition: graphs that are not
-        # series-parallel are refused, and auto answers on another route
-        # (K4 plus a pendant vertex is in the two-clique class)
+        # equal endpoints do not skip recognition of the block that holds
+        # s and t: an s-t block that is not series-parallel, or a
+        # disconnected graph, is refused, and auto answers on another
+        # route; K4 plus a pendant vertex (in the two-clique class) has no
+        # s-t block, as the cut vertex 0 splits 1 from 4, so sp answers it
         k33 = [(a, b) for a in range(1, 4) for b in range(4, 7)]
         s_k33_t = Graph(8, [(0, 1), (0, 2), (0, 3), *k33, (4, 7), (5, 7), (6, 7)])
-        for g, s, t, state, engine in (
-            (Graph(5, list(complete_graph(4).edges) + [(0, 4)]), 1, 4, F(0), "class"),
-            (s_k33_t, 0, 7, F(1, 2, 3), "tame"),
-            (Graph(4, [(0, 1), (2, 3)]), 0, 3, F(1), "tame"),
+        for g, s, t, state, engine, refused in (
+            (Graph(5, list(complete_graph(4).edges) + [(0, 4)]), 1, 4, F(0), "class", False),
+            (s_k33_t, 0, 7, F(1, 2, 3), "tame", True),
+            (Graph(4, [(0, 1), (2, 3)]), 0, 3, F(1), "tame", True),
         ):
             inst = ReconfigInstance(g, s, t, Rule.TJ, state, state)
-            with pytest.raises(NotApplicableError):
-                sp_solve_tj(inst)
+            if refused:
+                with pytest.raises(NotApplicableError):
+                    sp_solve_tj(inst)
+            else:
+                assert sp_solve_tj(inst).sequence == [state]
             res = solve(inst)
             assert res.sequence == [state]
             assert res.engine == engine

@@ -262,8 +262,9 @@ def test_engines_match_oracle_across_cut_vertices():
 
 def test_glued_theta_tj_and_tar_enumerate_nothing(monkeypatch):
     # two θ(5, 6) plus one chord, not series-parallel, glued at the cut
-    # vertex 1 between s = 0 and t = the second copy's 1: tame answers
-    # through the cut vertex
+    # vertex 1 between s = 0 and t = the second copy's 1: no block holds
+    # both terminals, so sp builds no tree and answers through the cut
+    # vertex
     def refuse(*args):
         raise AssertionError("separator family enumerated")
 
@@ -277,7 +278,7 @@ def test_glued_theta_tj_and_tar_enumerate_nothing(monkeypatch):
     for rule, k in ((Rule.TJ, None), (Rule.TAR, 6)):
         inst = ReconfigInstance(glued, 0, g.n, rule, source, target, k)
         res = solve(inst)
-        assert res.engine == "tame" and res.reachable
+        assert res.engine == "sp" and res.reachable
         assert verify_sequence(inst, res.sequence)
 
 
@@ -382,3 +383,75 @@ def test_ts_cycle_with_unequal_sides_is_answered_by_counting():
     took = time.perf_counter() - t0
     assert not res.reachable and res.engine == "class" and res.states_explored == 0
     assert took < 1.0
+
+
+def with_pendant_k4(g, v):
+    """g with a K4 hung on vertex v: three new vertices joined to v and to
+    each other, a block that is not series-parallel."""
+    new = range(g.n, g.n + 3)
+    return Graph(g.n + 3, [*g.edges, *((v, x) for x in new), *itertools.combinations(new, 2)])
+
+
+def test_one_lowpoint_dfs_per_solve(monkeypatch):
+    # the blocks and the cut vertices between s and t are read off one
+    # lowpoint DFS of the graph, whichever route answers
+    calls = []
+    lowpoints = Graph._lowpoints
+    monkeypatch.setattr(Graph, "_lowpoints", lambda g, *args: calls.append(g) or lowpoints(g, *args))
+    # three 4-cycles glued at the cut vertices 2 and 5, terminals in the end blocks
+    chain = Graph(10, [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (4, 5), (5, 6), (6, 2),
+                       (5, 7), (7, 8), (8, 9), (9, 5)])
+    grid = grid_graph(3, 6)
+    for inst, engine in (
+        (ReconfigInstance(chain, 0, 8, Rule.TJ, F(1, 3), F(7, 9)), "sp"),
+        (ReconfigInstance(cycle_graph(6), 0, 3, Rule.TJ, F(1, 5), F(2, 4)), "sp"),
+        (ReconfigInstance(cycle_graph(8), 0, 4, Rule.TAR, F(1, 7), F(3, 5), 3), "sp"),
+        (ReconfigInstance(grid, 0, 17, Rule.TJ, F(1, 7, 13), F(4, 10, 16)), "tame"),
+    ):
+        calls.clear()
+        res = solve(inst)
+        assert res.reachable and res.engine == engine
+        assert verify_sequence(inst, res.sequence)
+        assert calls == [inst.graph]
+
+
+def test_sp_answers_past_blocks_no_path_uses():
+    # series-parallel graphs with a K4 hung on one vertex: sp recognises
+    # only the block that holds s and t, or none when a cut vertex splits
+    # them, so the K4 sends nothing to tame; TJ and TAR with a bound of the
+    # larger endpoint, or one more, agree with the oracle
+    rng = random.Random(28)
+    checked = 0
+    while checked < 600:
+        base = random_series_parallel_graph(rng, rng.randint(5, 8))
+        g = with_pendant_k4(base, rng.randrange(base.n))
+        s, t = rng.choice(list(nonadjacent_pairs(g)))
+        seps = sorted(brute_force_separators(g, s, t, max_size=3), key=sorted)
+        if not seps:
+            continue
+        a, c = rng.choice(seps), rng.choice(seps)
+        b = rng.choice([x for x in seps if len(x) == len(a)])
+        k = max(len(a), len(c)) + rng.randint(0, 1)
+        for inst in (ReconfigInstance(g, s, t, Rule.TJ, a, b), ReconfigInstance(g, s, t, Rule.TAR, a, c, k)):
+            res = solve(inst)
+            assert res.engine == "sp", (g.to_text(), inst.describe())
+            assert res.reachable == solve_bfs(inst).reachable, (g.to_text(), inst.describe())
+            if res.reachable:
+                assert verify_sequence(inst, res.sequence)
+            checked += 1
+
+
+def test_theta_with_pendant_k4_is_answered_by_sp():
+    # θ(6, 6) with a K4 hung on an inner vertex: the θ block holds s and t
+    # and is series-parallel, so sp answers where tame's overlap search
+    # over 6^6 minimal separators took seconds
+    theta, first, last = theta_graph(6, 6)
+    g = with_pendant_k4(theta, first[2] + 1)
+    for rule, k in ((Rule.TJ, None), (Rule.TAR, 7)):
+        inst = ReconfigInstance(g, 0, 1, rule, F(*first), F(*last), k)
+        t0 = time.perf_counter()
+        res = solve(inst)
+        took = time.perf_counter() - t0
+        assert res.reachable and res.engine == "sp"
+        assert verify_sequence(inst, res.sequence)
+        assert took < 1.0
